@@ -12,7 +12,6 @@ import math
 from mssim import (
     ArrivalModel,
     CommunicationModel,
-    DeadlineVariant,
     DepthModel,
     ExecModel,
     ExecUnit,
@@ -27,13 +26,8 @@ from mssim import (
 sigma = 2.5
 mu = math.log(0.9 / 2.908e-4) - sigma**2 / 2
 
-policies = {
-    "fcfs": QueuePolicy(QueueKind.FCFS),
-    "shortest_first": QueuePolicy(QueueKind.SHORTEST_FIRST),
-    "fair_share": QueuePolicy(QueueKind.FAIR_SHARE, quantum=500),
-    "eds": QueuePolicy(QueueKind.EARLY_DEADLINE, variant=DeadlineVariant.EDS),
-    "exds": QueuePolicy(QueueKind.EARLY_DEADLINE, variant=DeadlineVariant.EXDS),
-}
+# fair share uses the default 500 us quantum
+policies = {kind.value: QueuePolicy(kind) for kind in QueueKind}
 
 print(f"{'policy':16s} {'requests':>8s} {'p50':>10s} {'p99':>12s}")
 for name, policy in policies.items():

@@ -3,7 +3,7 @@
 from .config import SimConfig, load_config
 from .engine import Engine, Event, EventKind, RngStream, make_streams
 from .gateway import LbPolicy, Registry
-from .instance import DeadlineVariant, QueueKind, QueuePolicy
+from .instance import QueueKind, QueuePolicy
 from .metrics import (
     RequestRecord,
     SimReport,
@@ -26,7 +26,6 @@ from .workload import (
     ExecUnit,
     RoutingModel,
     WorkloadModel,
-    export_trace,
     read_trace_csv,
     replay_trace,
     write_trace_csv,
@@ -35,7 +34,6 @@ from .workload import (
 __all__ = [
     "ArrivalModel",
     "CommunicationModel",
-    "DeadlineVariant",
     "DepthModel",
     "Engine",
     "Event",
@@ -58,7 +56,6 @@ __all__ = [
     "WorkloadModel",
     "brute_force_schedule",
     "ecdf",
-    "export_trace",
     "imbalance",
     "ks_distance",
     "load_config",

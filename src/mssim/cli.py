@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import SimConfig, load_config, parse_duration
+from .config import SimConfig, load_config, parse_field
 from .errors import ConfigError, MalformedTrace, SimError
 from .gateway import LbPolicy
-from .instance import DeadlineVariant, QueueKind, QueuePolicy
+from .instance import QueueKind, QueuePolicy
 from .metrics import write_ecdf_csv, write_requests_csv
 from .simulation import run_simulation
 from .workload import write_trace_csv
@@ -27,11 +26,11 @@ _LB_FLAGS = {
 }
 
 _QUEUE_FLAGS = {
-    "fcfs": (QueueKind.FCFS, None),
-    "sf": (QueueKind.SHORTEST_FIRST, None),
-    "fs": (QueueKind.FAIR_SHARE, None),
-    "ed-eds": (QueueKind.EARLY_DEADLINE, DeadlineVariant.EDS),
-    "ed-exds": (QueueKind.EARLY_DEADLINE, DeadlineVariant.EXDS),
+    "fcfs": QueueKind.FCFS,
+    "sf": QueueKind.SHORTEST_FIRST,
+    "fs": QueueKind.FAIR_SHARE,
+    "ed-eds": QueueKind.EDS,
+    "ed-exds": QueueKind.EXDS,
 }
 
 
@@ -64,16 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: SimConfig, args: argparse.Namespace) -> SimConfig:
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = parse_field("seed", args.seed, "--seed")
     if args.end_time is not None:
-        cfg.end_time = parse_duration(args.end_time, "--end-time")
+        cfg.end_time = parse_field("end_time", args.end_time, "--end-time")
     if args.lb is not None:
         cfg.lb_policy = _LB_FLAGS[args.lb]
     if args.queue is not None:
-        kind, variant = _QUEUE_FLAGS[args.queue]
-        cfg.queue_policy = QueuePolicy(
-            kind=kind, quantum=cfg.queue_policy.quantum, variant=variant
-        )
+        cfg.queue_policy = QueuePolicy(_QUEUE_FLAGS[args.queue], cfg.queue_policy.quantum)
     if args.trace_in is not None:
         cfg.trace_in = args.trace_in
     if args.trace_out is not None:

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .engine import SimTime
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .gateway import LbPolicy
-from .instance import DeadlineVariant, QueueKind, QueuePolicy
+from .instance import QueueKind, QueuePolicy
 from .workload import (
     ArrivalModel,
     CommunicationModel,
@@ -22,13 +24,13 @@ from .workload import (
     WorkloadModel,
 )
 
-_DURATION_RE = re.compile(r"^\s*(\d+)\s*(us|ms|s|h)?\s*$")
+_DURATION_RE = re.compile(r"^\s*(\d{1,18})\s*(us|ms|s|h)?\s*$")
 _UNIT_US = {"us": 1, "ms": 1_000, "s": 1_000_000, "h": 3_600_000_000, None: 1}
 
 
 def parse_duration(value: Union[int, str], field_path: str = "duration") -> SimTime:
     """Integer microseconds, or a string with suffix us/ms/s/h."""
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     m = _DURATION_RE.match(str(value))
     if not m:
@@ -79,163 +81,184 @@ class SimConfig:
         )
 
     def validate(self) -> None:
-        if self.end_time <= 0:
-            raise ValidationError("end_time", "must be > 0")
-        if not self.microservices:
-            raise ValidationError("microservices", "must list at least one microservice")
-        if any(c < 1 for c in self.microservices):
-            raise ValidationError("microservices", "instance counts must be >= 1")
-        if self.utilization_interval <= 0:
-            raise ValidationError("utilization_interval", "must be > 0")
-        if self.imbalance_interval <= 0:
-            raise ValidationError("imbalance_interval", "must be > 0")
+        for name in ("end_time", "utilization_interval", "imbalance_interval"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(name, "must be > 0")
+        if not self.microservices or min(self.microservices) < 1:
+            raise ValidationError("microservices", "must list instance counts >= 1")
+        self.workload().validate(len(self.microservices))
+
+
+# --- table-driven parsing ----------------------------------------------------
+# Every parser takes (value, dotted field path) and returns the parsed value or
+# raises ValidationError naming the field. Booleans are never numbers.
+
+Parser = Callable[[Any, str], Any]
+_DEFAULT = SimConfig()
+
+
+def _integer(minimum: int) -> Parser:
+    def parse(value: Any, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(path, "must be an integer")
+        if value < minimum:
+            raise ValidationError(path, f"must be >= {minimum}")
+        return value
+
+    return parse
+
+
+def _number(value: Any, path: str) -> float:
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ValidationError(path, "must be a finite number")
+    return float(value)
+
+
+def _duration(value: Any, path: str) -> SimTime:
+    duration = parse_duration(value, path)
+    if duration <= 0:
+        raise ValidationError(path, "must be > 0")
+    return duration
+
+
+def _of_type(types: Union[type, tuple[type, ...]], what: str) -> Parser:
+    def parse(value: Any, path: str) -> Any:
+        if not isinstance(value, types):
+            raise ValidationError(path, f"must be {what}")
+        return value
+
+    return parse
+
+
+def _enum(cls: type[Enum]) -> Parser:
+    def parse(value: Any, path: str) -> Enum:
         try:
-            self.workload().validate(len(self.microservices))
-        except ConfigError as e:
-            raise ValidationError("workload", str(e)) from e
-
-
-_QUEUE_KINDS = {
-    "fcfs": (QueueKind.FCFS, None),
-    "shortest_first": (QueueKind.SHORTEST_FIRST, None),
-    "fair_share": (QueueKind.FAIR_SHARE, None),
-    "eds": (QueueKind.EARLY_DEADLINE, DeadlineVariant.EDS),
-    "exds": (QueueKind.EARLY_DEADLINE, DeadlineVariant.EXDS),
-}
-
-
-def _queue_policy_from(value: Any, path: str) -> QueuePolicy:
-    if isinstance(value, str):
-        kind_name, quantum = value, 500
-    elif isinstance(value, dict):
-        kind_name = value.get("kind", "fcfs")
-        quantum = parse_duration(value.get("quantum", 500), f"{path}.quantum")
-    else:
-        raise ValidationError(path, f"expected string or object, got {type(value).__name__}")
-    if kind_name not in _QUEUE_KINDS:
-        raise ValidationError(path, f"unknown queue policy {kind_name!r}")
-    kind, variant = _QUEUE_KINDS[kind_name]
-    if quantum <= 0:
-        raise ValidationError(f"{path}.quantum", "must be > 0")
-    return QueuePolicy(kind=kind, quantum=quantum, variant=variant)
-
-
-def _lb_policy_from(value: Any, path: str) -> LbPolicy:
-    try:
-        return LbPolicy(value)
-    except ValueError:
-        raise ValidationError(path, f"unknown load balancer {value!r}") from None
-
-
-def _depth_from(value: Any, path: str) -> DepthModel:
-    if not isinstance(value, dict) or not value:
-        raise ValidationError(path, "expected a non-empty {depth: probability} object")
-    try:
-        outcomes = tuple(sorted((int(k), float(v)) for k, v in value.items()))
-    except (TypeError, ValueError):
-        raise ValidationError(path, "keys must be integers, values numbers") from None
-    return DepthModel(outcomes=outcomes)
-
-
-def config_from_dict(doc: dict) -> SimConfig:
-    """Build a validated SimConfig, filling built-in defaults for absent keys."""
-    if not isinstance(doc, dict):
-        raise ValidationError("<root>", "config must be a JSON object")
-    cfg = SimConfig()
-    known = {
-        "end_time", "seed", "sla", "arrival", "exec", "depth", "routing",
-        "communication", "lb_policy", "queue_policy", "microservices",
-        "utilization_interval", "imbalance_interval", "drain",
-        "trace_in", "trace_out",
-    }
-    for key in doc:
-        if key not in known:
-            raise ValidationError(key, "unknown config key")
-
-    if "end_time" in doc:
-        cfg.end_time = parse_duration(doc["end_time"], "end_time")
-    if "seed" in doc:
-        if not isinstance(doc["seed"], int):
-            raise ValidationError("seed", "must be an integer")
-        cfg.seed = doc["seed"]
-    if "sla" in doc:
-        cfg.sla = parse_duration(doc["sla"], "sla")
-    if "arrival" in doc:
-        mean = doc["arrival"].get("mean_interarrival")
-        if mean is None:
-            raise ValidationError("arrival.mean_interarrival", "required")
-        cfg.arrival = ArrivalModel(parse_duration(mean, "arrival.mean_interarrival"))
-    if "exec" in doc:
-        e = doc["exec"]
-        try:
-            unit = ExecUnit(e.get("unit", "ms"))
+            return cls(value)
         except ValueError:
-            raise ValidationError("exec.unit", f"unknown unit {e.get('unit')!r}") from None
-        cfg.exec_model = ExecModel(
-            mu=float(e.get("mu", 4.13)), sigma=float(e.get("sigma", 3.48)), unit=unit
-        )
-    if "depth" in doc:
-        cfg.depth = _depth_from(doc["depth"], "depth")
-    if "microservices" in doc:
-        ms = doc["microservices"]
-        if not isinstance(ms, list) or not all(isinstance(c, int) for c in ms):
-            raise ValidationError("microservices", "must be a list of instance counts")
-        cfg.microservices = tuple(ms)
-    n_ms = len(cfg.microservices)
-    if "routing" in doc:
-        r = doc["routing"]
-        cfg.routing = RoutingModel(
-            call_probabilities=tuple(float(w) for w in r.get("call_probabilities", [])),
-            fanout=int(r.get("fanout", 1)),
-        )
-    elif n_ms != len(cfg.routing.call_probabilities):
-        cfg.routing = RoutingModel(call_probabilities=(1.0 / n_ms,) * n_ms)
-    if "communication" in doc:
-        c = doc["communication"]
-        cfg.communication = CommunicationModel(
-            comm_probabilities=tuple(float(w) for w in c.get("comm_probabilities", [])),
-            fanout=int(c.get("fanout", 1)),
-        )
-    elif n_ms != len(cfg.communication.comm_probabilities):
-        cfg.communication = CommunicationModel(comm_probabilities=(1.0 / n_ms,) * n_ms)
-    if "lb_policy" in doc:
-        cfg.lb_policy = _lb_policy_from(doc["lb_policy"], "lb_policy")
-    if "queue_policy" in doc:
-        cfg.queue_policy = _queue_policy_from(doc["queue_policy"], "queue_policy")
-    if "utilization_interval" in doc:
-        cfg.utilization_interval = parse_duration(
-            doc["utilization_interval"], "utilization_interval"
-        )
-    if "imbalance_interval" in doc:
-        cfg.imbalance_interval = parse_duration(
-            doc["imbalance_interval"], "imbalance_interval"
-        )
-    if "drain" in doc:
-        if not isinstance(doc["drain"], bool):
-            raise ValidationError("drain", "must be a boolean")
-        cfg.drain = doc["drain"]
-    if "trace_in" in doc:
-        cfg.trace_in = doc["trace_in"]
-    if "trace_out" in doc:
-        cfg.trace_out = doc["trace_out"]
+            names = ", ".join(m.value for m in cls)
+            raise ValidationError(path, f"{value!r} is not one of {names}") from None
 
-    try:
-        cfg.validate()
-    except ValidationError:
-        raise
-    except ConfigError as e:
-        raise ValidationError("<config>", str(e)) from e
+    return parse
+
+
+def _list_of(item: Parser) -> Parser:
+    def parse(value: Any, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ValidationError(path, "must be a list")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return parse
+
+
+def _object(fields: dict[str, tuple[str, Parser]], default: Any) -> Parser:
+    """Parse a JSON object into `default` with the given keys replaced."""
+
+    def parse(value: Any, path: str) -> Any:
+        if not isinstance(value, dict):
+            raise ValidationError(path or "<root>", "must be a JSON object")
+        parsed = {}
+        for key, item in value.items():
+            key_path = f"{path}.{key}" if path else str(key)
+            if key not in fields:
+                raise ValidationError(key_path, "unknown config key")
+            attr, parse_item = fields[key]
+            parsed[attr] = parse_item(item, key_path)
+        return replace(default, **parsed)
+
+    return parse
+
+
+def _depth(value: Any, path: str) -> DepthModel:
+    if not isinstance(value, dict):
+        raise ValidationError(path, "must be a {depth: probability} object")
+    outcomes = []
+    for key, p in value.items():
+        try:
+            depth = int(key)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{path}.{key}", "depth must be an integer") from None
+        outcomes.append((depth, _number(p, f"{path}.{key}")))
+    return DepthModel(outcomes=tuple(sorted(outcomes)))
+
+
+_queue_kind = _enum(QueueKind)
+_queue_object = _object(
+    {"kind": ("kind", _queue_kind), "quantum": ("quantum", _duration)},
+    _DEFAULT.queue_policy,
+)
+
+
+def _queue_policy(value: Any, path: str) -> QueuePolicy:
+    """A kind name (default quantum) or a {kind, quantum} object."""
+    if isinstance(value, str):
+        return QueuePolicy(_queue_kind(value, path))
+    return _queue_object(value, path)
+
+
+def _weights(attr: str, default: Any) -> Parser:
+    fields = {attr: (attr, _list_of(_number)), "fanout": ("fanout", _integer(1))}
+    return _object(fields, default)
+
+
+_arrival = _object({"mean_interarrival": ("mean_interarrival", _duration)}, _DEFAULT.arrival)
+_exec = _object(
+    {"mu": ("mu", _number), "sigma": ("sigma", _number), "unit": ("unit", _enum(ExecUnit))},
+    _DEFAULT.exec_model,
+)
+
+
+# config key -> (SimConfig attribute, parser)
+FIELDS: dict[str, tuple[str, Parser]] = {
+    "end_time": ("end_time", _duration),
+    "seed": ("seed", _integer(0)),
+    "sla": ("sla", _duration),
+    "arrival": ("arrival", _arrival),
+    "exec": ("exec_model", _exec),
+    "depth": ("depth", _depth),
+    "routing": ("routing", _weights("call_probabilities", _DEFAULT.routing)),
+    "communication": ("communication",
+                      _weights("comm_probabilities", _DEFAULT.communication)),
+    "lb_policy": ("lb_policy", _enum(LbPolicy)),
+    "queue_policy": ("queue_policy", _queue_policy),
+    "microservices": ("microservices", _list_of(_integer(1))),
+    "utilization_interval": ("utilization_interval", _duration),
+    "imbalance_interval": ("imbalance_interval", _duration),
+    "drain": ("drain", _of_type(bool, "a boolean")),
+    "trace_in": ("trace_in", _of_type((str, type(None)), "a file path or null")),
+    "trace_out": ("trace_out", _of_type((str, type(None)), "a file path or null")),
+}
+_parse_config = _object(FIELDS, _DEFAULT)
+
+
+def parse_field(key: str, value: Any, path: str) -> Any:
+    """Parse one top-level value exactly as the config file would."""
+    return FIELDS[key][1](value, path)
+
+
+def config_from_dict(doc: Any) -> SimConfig:
+    """Build a validated SimConfig, filling built-in defaults for absent keys.
+
+    Absent routing or communication weights are DEFAULT_WEIGHTS, or equal
+    weights when `microservices` does not list four microservices.
+    """
+    cfg = _parse_config(doc, "")
+    n_ms = len(cfg.microservices)
+    if 0 < n_ms != len(DEFAULT_WEIGHTS):  # an empty list fails validate() below
+        equal = (1.0 / n_ms,) * n_ms
+        if "call_probabilities" not in doc.get("routing", {}):
+            cfg.routing = replace(cfg.routing, call_probabilities=equal)
+        if "comm_probabilities" not in doc.get("communication", {}):
+            cfg.communication = replace(cfg.communication, comm_probabilities=equal)
+    cfg.validate()
     return cfg
 
 
 def load_config(path: Union[str, Path]) -> SimConfig:
     """Load and validate a JSON config file; absent keys take built-in defaults."""
-    text = Path(path).read_text(encoding="utf-8")
-    if text.strip() == "":
-        doc: dict = {}
-    else:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from e
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(text) if text.strip() else {}
+    except ValueError as e:  # not UTF-8, not JSON, or an integer too long to convert
+        raise ParseError(f"{path}: {e}") from e
     return config_from_dict(doc)

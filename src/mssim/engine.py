@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Callable
@@ -28,10 +27,8 @@ def round_half_up(x: float) -> int:
 
 class EventKind(IntEnum):
     REQUEST_ARRIVAL = 0
-    STAGE_DISPATCH = 1
-    EXECUTION_SLICE_COMPLETE = 2
-    UTILIZATION_SAMPLE = 3
-    SIMULATION_END = 4
+    EXECUTION_SLICE_COMPLETE = 1
+    UTILIZATION_SAMPLE = 2
 
 
 @dataclass(slots=True)
@@ -39,7 +36,6 @@ class Event:
     fire_at: SimTime
     kind: EventKind
     payload: Any = None
-    seq: int = -1  # assigned by the engine at schedule time
 
 
 class Engine:
@@ -62,9 +58,8 @@ class Engine:
             raise SchedulingInPast(
                 f"event at t={event.fire_at} scheduled when now={self._now}"
             )
-        event.seq = self._seq
+        heapq.heappush(self._heap, (event.fire_at, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, (event.fire_at, event.seq, event))
 
     def run_until(self, end: SimTime, dispatch: Callable[[Event], None]) -> SimTime:
         """Process all events with fire_at <= end in order; clock lands on end.
@@ -103,17 +98,14 @@ _STREAM_IDS = {
 
 
 class RngStream:
-    """One named deterministic uniform stream derived from a master seed.
+    """One deterministic uniform stream per `_STREAM_IDS` label and master seed.
 
     Identical (seed, stream_id, draw index) yields an identical value on
     every platform (PCG64 behind a per-stream SeedSequence spawn key).
     """
 
     def __init__(self, seed: int, stream_id: str, chunk: int = 4096):
-        key = _STREAM_IDS.get(stream_id)
-        if key is None:
-            # stable fallback for custom stream labels
-            key = 1000 + zlib.crc32(stream_id.encode("utf-8"))
+        key = _STREAM_IDS[stream_id]
         self.seed = seed
         self.stream_id = stream_id
         self._gen = np.random.Generator(

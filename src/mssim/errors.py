@@ -41,10 +41,6 @@ class DuplicateInstance(SimError):
     """Attempt to register an instance already present in the registry."""
 
 
-class UnknownInstance(SimError):
-    """Attempt to deregister an instance not present in the registry."""
-
-
 class NoActiveInstance(SimError):
     """Dispatch attempted against a microservice with no active instances."""
 

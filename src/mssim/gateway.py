@@ -11,7 +11,7 @@ from enum import Enum
 from typing import Sequence
 
 from .engine import SimTime
-from .errors import DuplicateInstance, NoActiveInstance, UnknownInstance
+from .errors import DuplicateInstance, NoActiveInstance
 from .model import InstanceId, MicroserviceId
 
 
@@ -47,14 +47,6 @@ class Registry:
             raise DuplicateInstance(f"{instance} already registered")
         lst.append(instance)
         self.rr_cursor.setdefault(instance.ms, 0)
-
-    def deregister(self, instance: InstanceId) -> None:
-        lst = self.entries.get(instance.ms, [])
-        if instance not in lst:
-            raise UnknownInstance(f"{instance} not registered")
-        lst.remove(instance)
-        cursor = self.rr_cursor.get(instance.ms, 0)
-        self.rr_cursor[instance.ms] = cursor % len(lst) if lst else 0
 
     def select_round_robin(self, ms: MicroserviceId) -> InstanceId:
         """Each instance in turn; loops back at the end of the list."""

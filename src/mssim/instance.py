@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
@@ -31,25 +31,22 @@ class QueueKind(Enum):
     FCFS = "fcfs"
     SHORTEST_FIRST = "shortest_first"
     FAIR_SHARE = "fair_share"
-    EARLY_DEADLINE = "early_deadline"
+    EDS = "eds"  # early deadline, equal division of slack
+    EXDS = "exds"  # early deadline, execution-time-proportional division of slack
 
-
-class DeadlineVariant(Enum):
-    EDS = "eds"  # equal division of slack
-    EXDS = "exds"  # execution-time-proportional division of slack
+    @property
+    def has_deadlines(self) -> bool:
+        return self in (QueueKind.EDS, QueueKind.EXDS)
 
 
 @dataclass(frozen=True)
 class QueuePolicy:
     kind: QueueKind
     quantum: SimTime = 500  # fair-share slice length, microseconds
-    variant: Optional[DeadlineVariant] = None  # early-deadline only
 
     def __post_init__(self) -> None:
         if self.quantum <= 0:
             raise ConfigError("quantum must be > 0")
-        if self.kind is QueueKind.EARLY_DEADLINE and self.variant is None:
-            object.__setattr__(self, "variant", DeadlineVariant.EDS)
 
 
 @dataclass(slots=True)
@@ -116,11 +113,9 @@ class _KeyedQueue:
 def _make_queue(policy: QueuePolicy):
     if policy.kind is QueueKind.FAIR_SHARE:
         return _FifoQueue()
-    if policy.kind is QueueKind.FCFS:
-        return _KeyedQueue(None)
-    if policy.kind is QueueKind.SHORTEST_FIRST:
-        return _KeyedQueue("remaining")
-    return _KeyedQueue("deadline")
+    if policy.kind.has_deadlines:
+        return _KeyedQueue("deadline")
+    return _KeyedQueue("remaining" if policy.kind is QueueKind.SHORTEST_FIRST else None)
 
 
 class InstanceState:
@@ -270,8 +265,6 @@ def assign_deadlines_exds(req: ClientRequest) -> None:
         )
 
 
-def assign_deadlines(req: ClientRequest, variant: DeadlineVariant) -> None:
-    if variant is DeadlineVariant.EDS:
-        assign_deadlines_eds(req)
-    else:
-        assign_deadlines_exds(req)
+def assign_deadlines(req: ClientRequest, kind: QueueKind) -> None:
+    """Deadlines for an EDS or EXDS queue policy."""
+    {QueueKind.EDS: assign_deadlines_eds, QueueKind.EXDS: assign_deadlines_exds}[kind](req)

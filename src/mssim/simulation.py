@@ -8,25 +8,18 @@ export of a run replays to the same schedule under identical policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .config import SimConfig
 from .engine import Engine, Event, EventKind, SimTime, make_streams
-from .errors import ConfigError
 from .gateway import (
     LbPolicy,
     Registry,
     select_greedy,
     select_least_connection,
 )
-from .instance import (
-    DeadlineVariant,
-    InstanceState,
-    QueueKind,
-    QueuedStage,
-    assign_deadlines,
-)
+from .instance import InstanceState, QueueKind, QueuedStage, assign_deadlines
 from .metrics import MetricsCollector, RequestRecord, SimReport
 from .model import (
     CallNode,
@@ -60,13 +53,6 @@ class SimResult:
         return self.client_records + self.stage_records
 
 
-def _queue_policy_name(cfg: SimConfig) -> str:
-    qp = cfg.queue_policy
-    if qp.kind is QueueKind.EARLY_DEADLINE:
-        return qp.variant.value
-    return qp.kind.value
-
-
 class Simulation:
     def __init__(
         self,
@@ -98,9 +84,8 @@ class Simulation:
             self.streams = None
         else:
             self.streams = make_streams(cfg.seed)
-        self._deadline_variant: Optional[DeadlineVariant] = None
-        if cfg.queue_policy.kind is QueueKind.EARLY_DEADLINE:
-            self._deadline_variant = cfg.queue_policy.variant
+        kind = cfg.queue_policy.kind
+        self._deadline_kind: Optional[QueueKind] = kind if kind.has_deadlines else None
 
     # -- event handlers --------------------------------------------------------
 
@@ -138,10 +123,10 @@ class Simulation:
                 self._next_request_id, now, self.cfg.workload(), self.streams
             )
             self._next_request_id += 1
-        if self._deadline_variant is not None:
+        if self._deadline_kind is not None:
             if req.sla <= 0:  # replayed trees carry no SLA of their own
                 req.sla = self.cfg.sla
-            assign_deadlines(req, self._deadline_variant)
+            assign_deadlines(req, self._deadline_kind)
         live = _LiveRequest(
             request_id=req.request_id,
             created_at=req.created_at,
@@ -246,7 +231,7 @@ class Simulation:
             drain_until=drain_until,
             seed=cfg.seed,
             lb_policy=cfg.lb_policy.value,
-            queue_policy=_queue_policy_name(cfg),
+            queue_policy=cfg.queue_policy.kind.value,
         )
         return SimResult(
             report=report,

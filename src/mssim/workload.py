@@ -1,4 +1,4 @@
-"""Statistical workload generation and trace export/replay.
+"""Statistical workload generation and trace replay and CSV I/O.
 
 Samplers are pure functions of (model, rng stream state). All real-valued
 samples are rounded half-up to whole microseconds with a floor of 1 us.
@@ -9,17 +9,24 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from scipy.special import ndtri
 
 from .engine import RngStream, SimTime, round_half_up
-from .errors import ConfigError, MalformedTrace
-from .model import CallNode, ClientRequest, StageRequest, iter_nodes
+from .errors import ConfigError, MalformedTrace, ValidationError
+from .model import CallNode, ClientRequest, StageRequest
 
 _PROB_TOL = 1e-9
+
+
+def _validate_weights(path: str, weights: Sequence[float]) -> None:
+    if any(w < 0 for w in weights):
+        raise ValidationError(path, "weights must be >= 0")
+    if not abs(sum(weights) - 1.0) <= _PROB_TOL:  # NaN fails too
+        raise ValidationError(path, "must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -30,7 +37,7 @@ class ArrivalModel:
 
     def validate(self) -> None:
         if self.mean_interarrival <= 0:
-            raise ConfigError("arrival.mean_interarrival must be > 0")
+            raise ValidationError("arrival.mean_interarrival", "must be > 0")
 
 
 class ExecUnit(Enum):
@@ -48,7 +55,7 @@ class ExecModel:
 
     def validate(self) -> None:
         if self.sigma < 0:
-            raise ConfigError("exec.sigma must be >= 0")
+            raise ValidationError("exec.sigma", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -57,13 +64,13 @@ class DepthModel:
 
     def validate(self) -> None:
         if not self.outcomes:
-            raise ConfigError("depth.outcomes is empty")
+            raise ValidationError("depth", "no outcomes")
         if any(p <= 0 for _, p in self.outcomes):
-            raise ConfigError("depth probabilities must be > 0")
+            raise ValidationError("depth", "probabilities must be > 0")
         if any(d < 0 for d, _ in self.outcomes):
-            raise ConfigError("depths must be >= 0")
-        if abs(sum(p for _, p in self.outcomes) - 1.0) > _PROB_TOL:
-            raise ConfigError("depth probabilities must sum to 1")
+            raise ValidationError("depth", "depths must be >= 0")
+        if not abs(sum(p for _, p in self.outcomes) - 1.0) <= _PROB_TOL:
+            raise ValidationError("depth", "probabilities must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,12 @@ class RoutingModel:
     fanout: int = 1
 
     def validate(self) -> None:
-        if any(w < 0 for w in self.call_probabilities):
-            raise ConfigError("routing weights must be >= 0")
-        if abs(sum(self.call_probabilities) - 1.0) > _PROB_TOL:
-            raise ConfigError("routing.call_probabilities must sum to 1")
-        if self.fanout < 1:
-            raise ConfigError("routing.fanout must be >= 1")
+        _validate_weights("routing.call_probabilities", self.call_probabilities)
+        positive = sum(1 for w in self.call_probabilities if w > 0)
+        if not 1 <= self.fanout <= positive:
+            raise ValidationError(
+                "routing.fanout", f"must be >= 1 and <= {positive} positive weights"
+            )
 
 
 @dataclass(frozen=True)
@@ -93,12 +100,9 @@ class CommunicationModel:
     fanout: int = 1
 
     def validate(self) -> None:
-        if any(w < 0 for w in self.comm_probabilities):
-            raise ConfigError("communication weights must be >= 0")
-        if abs(sum(self.comm_probabilities) - 1.0) > _PROB_TOL:
-            raise ConfigError("communication.comm_probabilities must sum to 1")
+        _validate_weights("communication.comm_probabilities", self.comm_probabilities)
         if self.fanout < 1:
-            raise ConfigError("communication.fanout must be >= 1")
+            raise ValidationError("communication.fanout", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,16 +122,33 @@ class WorkloadModel:
         self.depth.validate()
         self.routing.validate()
         self.communication.validate()
-        if len(self.routing.call_probabilities) != n_microservices:
-            raise ConfigError("routing weights must match the microservice count")
-        if len(self.communication.comm_probabilities) != n_microservices:
-            raise ConfigError("communication weights must match the microservice count")
-        if max(d for d, _ in self.depth.outcomes) > 0 and n_microservices < 2:
-            raise ConfigError(
-                "depth > 0 requires at least 2 microservices (self-call exclusion)"
+        routing = self.routing.call_probabilities
+        comm = self.communication.comm_probabilities
+        for path, weights in (
+            ("routing.call_probabilities", routing),
+            ("communication.comm_probabilities", comm),
+        ):
+            if len(weights) != n_microservices:
+                raise ValidationError(path, "must have one weight per microservice")
+        max_depth = max(d for d, _ in self.depth.outcomes)
+        if max_depth > 0 and n_microservices < 2:
+            raise ValidationError(
+                "depth", "depth > 0 requires at least 2 microservices (self-call exclusion)"
             )
+        if max_depth > 0:
+            # a stage never calls its own microservice; callers below the root
+            # always have a positive weight, root callers may not
+            loses_own = max_depth > 1 or any(
+                w > 0 and comm[i] > 0 for i, w in enumerate(routing)
+            )
+            available = sum(1 for w in comm if w > 0) - loses_own
+            if self.communication.fanout > available:
+                raise ValidationError(
+                    "communication.fanout",
+                    f"exceeds the {available} weights left to every caller",
+                )
         if self.sla <= 0:
-            raise ConfigError("sla must be > 0")
+            raise ValidationError("sla", "must be > 0")
 
 
 def sample_interarrival(model: ArrivalModel, rng: RngStream) -> SimTime:
@@ -238,7 +259,7 @@ def build_client_request(
     return req
 
 
-# --- trace export / replay -------------------------------------------------
+# --- trace replay and CSV I/O ---------------------------------------------
 
 TRACE_HEADER = ["request_id", "timestamp", "called_ms", "exetime", "hops_done", "called_by"]
 
@@ -260,29 +281,6 @@ class TraceRow:
             )
         if self.exetime <= 0:
             raise MalformedTrace(f"request {self.request_id}: exetime <= 0")
-
-
-def _sorted_rows(rows: list[TraceRow]) -> list[TraceRow]:
-    return sorted(rows, key=lambda r: (r.timestamp, r.request_id, r.hops_done))
-
-
-def export_trace(requests: Sequence[ClientRequest]) -> list[TraceRow]:
-    """One row per CallNode; timestamps are created_at (pre-simulation export)."""
-    rows = []
-    for req in requests:
-        for node in iter_nodes(req):
-            st = node.stage
-            rows.append(
-                TraceRow(
-                    request_id=req.request_id,
-                    timestamp=req.created_at,
-                    called_ms=st.target,
-                    exetime=st.exec_time,
-                    hops_done=st.depth,
-                    called_by=st.called_by,
-                )
-            )
-    return _sorted_rows(rows)
 
 
 def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:

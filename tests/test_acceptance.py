@@ -21,7 +21,6 @@ from mssim.config import SimConfig
 from mssim.engine import Engine, Event, EventKind
 from mssim.gateway import LbPolicy
 from mssim.instance import (
-    DeadlineVariant,
     InstanceState,
     QueueKind,
     QueuePolicy,
@@ -47,8 +46,8 @@ QUEUE_POLICIES = {
     "fcfs": QueuePolicy(QueueKind.FCFS),
     "sf": QueuePolicy(QueueKind.SHORTEST_FIRST),
     "fs": QueuePolicy(QueueKind.FAIR_SHARE, quantum=500),
-    "eds": QueuePolicy(QueueKind.EARLY_DEADLINE, variant=DeadlineVariant.EDS),
-    "exds": QueuePolicy(QueueKind.EARLY_DEADLINE, variant=DeadlineVariant.EXDS),
+    "eds": QueuePolicy(QueueKind.EDS),
+    "exds": QueuePolicy(QueueKind.EXDS),
 }
 
 # Desk-scale experiment workload. The stage arrival rate at the busiest
@@ -230,17 +229,17 @@ def chain_request(created_at, sla, execs):
 
 def test_criterion_4_equal_slack_deadlines():
     req = chain_request(created_at=6000, sla=3000, execs=(100, 100, 100))
-    assign_deadlines(req, DeadlineVariant.EDS)
+    assign_deadlines(req, QueueKind.EDS)
     assert [n.stage.deadline for n in iter_nodes(req)] == [7000, 8000, 9000]
 
     flat = chain_request(created_at=6000, sla=3000, execs=(100,))
-    assign_deadlines(flat, DeadlineVariant.EDS)
+    assign_deadlines(flat, QueueKind.EDS)
     assert flat.root_stages[0].stage.deadline == 9000
 
 
 def test_criterion_5_exec_proportional_deadlines():
     req = chain_request(created_at=6000, sla=3000, execs=(500, 1000, 500))
-    assign_deadlines(req, DeadlineVariant.EXDS)
+    assign_deadlines(req, QueueKind.EXDS)
     assert [n.stage.deadline for n in iter_nodes(req)] == [6750, 8250, 9000]
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mssim.cli import cli_main
+from mssim.cli import _QUEUE_FLAGS, cli_main
 from mssim.config import (
     SimConfig,
     config_from_dict,
@@ -11,7 +11,7 @@ from mssim.config import (
 )
 from mssim.errors import ParseError, ValidationError
 from mssim.gateway import LbPolicy
-from mssim.instance import QueueKind
+from mssim.instance import QueueKind, QueuePolicy
 
 SMALL = {
     "end_time": "1s",
@@ -101,6 +101,16 @@ def test_queue_policy_object_with_quantum():
     assert cfg.queue_policy.quantum == 1000
 
 
+@pytest.mark.parametrize("kind", list(QueueKind))
+def test_every_queue_kind_parses_by_name(kind):
+    cfg = config_from_dict(dict(SMALL, queue_policy=kind.value))
+    assert cfg.queue_policy == QueuePolicy(kind)
+
+
+def test_queue_flags_alias_one_kind_each():
+    assert sorted(k.value for k in _QUEUE_FLAGS.values()) == sorted(k.value for k in QueueKind)
+
+
 # -- CLI --------------------------------------------------------------------
 
 
@@ -147,9 +157,76 @@ def test_cli_missing_config_file_exits_1(tmp_path):
     assert cli_main(["--config", str(tmp_path / "nope.json")]) == 1
 
 
-def test_cli_invalid_config_exits_1(tmp_path):
-    cfg = write_config(tmp_path, dict(SMALL, end_time=0))
-    assert cli_main(["--config", cfg]) == 1
+# case id -> (config keys overriding SMALL, dotted field the error must name)
+INVALID = {
+    "end_time-zero": ({"end_time": 0}, "end_time"),
+    "arrival-not-object": ({"arrival": 5}, "arrival"),
+    "exec-not-object": ({"exec": 3}, "exec"),
+    "routing-not-object": ({"routing": 7}, "routing"),
+    "exec-mu-string": ({"exec": {"mu": "abc"}}, "exec.mu"),
+    "exec-mu-nan": ({"exec": {"mu": float("nan")}}, "exec.mu"),
+    "exec-mu-inf": ({"exec": {"mu": float("inf")}}, "exec.mu"),
+    "exec-unknown-key": ({"exec": {"mu": 1.0, "scale": 2}}, "exec.scale"),
+    "routing-weights-string": ({"routing": {"call_probabilities": "ab"}},
+                               "routing.call_probabilities"),
+    "communication-fanout-string": ({"communication": {"fanout": "x"}},
+                                    "communication.fanout"),
+    "seed-negative": ({"seed": -1}, "seed"),
+    "seed-bool": ({"seed": True}, "seed"),
+    "end_time-bool": ({"end_time": True}, "end_time"),
+    "end_time-5000-digits": ({"end_time": "9" * 5000}, "end_time"),
+    "microservices-bool": ({"microservices": [2, True]}, "microservices[1]"),
+    "depth-not-integer": ({"depth": {"one": 1.0}}, "depth.one"),
+    "queue-kind-old-name": ({"queue_policy": "early_deadline"}, "queue_policy"),
+    "queue-quantum-zero": ({"queue_policy": {"kind": "eds", "quantum": 0}},
+                           "queue_policy.quantum"),
+    "trace_in-int": ({"trace_in": 5}, "trace_in"),
+    "routing-fanout-too-large": (
+        {"routing": {"call_probabilities": [0.5, 0.5], "fanout": 3}}, "routing.fanout"
+    ),
+    # depth 2: every caller has a positive weight, leaving one callee
+    "communication-fanout-too-large": (
+        {"communication": {"comm_probabilities": [0.5, 0.5], "fanout": 2}},
+        "communication.fanout",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad,field", INVALID.values(), ids=INVALID.keys())
+def test_cli_invalid_config_exits_1(tmp_path, capsys, bad, field):
+    cfg = write_config(tmp_path, dict(SMALL, **bad))
+    assert cli_main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "raw", [b"\xff\xfe{}", b'{"seed": ' + b"1" * 5000 + b"}"], ids=["not-utf8", "5000-digit-int"]
+)
+def test_cli_unparsable_config_exits_1(tmp_path, capsys, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--end-time", "0"], ["--end-time", "1x"]])
+def test_cli_invalid_override_exits_1(tmp_path, capsys, flags):
+    cfg = write_config(tmp_path, SMALL)
+    assert cli_main(["--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flags[0]}:")
+
+
+def test_communication_fanout_counts_only_reachable_callers():
+    # depth 1 and routing only to ms 0, which has no communication weight:
+    # callers keep both positive weights, so fanout 2 is possible
+    doc = dict(SMALL, microservices=[1, 1, 1], depth={"0": 0.5, "1": 0.5},
+               routing={"call_probabilities": [1.0, 0.0, 0.0]},
+               communication={"comm_probabilities": [0.0, 0.5, 0.5], "fanout": 2})
+    assert config_from_dict(doc).communication.fanout == 2
+    with pytest.raises(ValidationError):
+        config_from_dict(dict(doc, depth={"0": 0.5, "2": 0.5}))
 
 
 def test_cli_malformed_trace_in_exits_1(tmp_path):

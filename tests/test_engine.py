@@ -15,23 +15,23 @@ def _collect(engine, end):
 def test_events_fire_in_time_order():
     eng = Engine()
     for t in (5, 1, 3):
-        eng.schedule(Event(t, EventKind.STAGE_DISPATCH, t))
+        eng.schedule(Event(t, EventKind.REQUEST_ARRIVAL, t))
     assert [e.payload for e in _collect(eng, 10)] == [1, 3, 5]
 
 
 def test_simultaneous_events_fire_in_insertion_order():
     eng = Engine()
-    eng.schedule(Event(5, EventKind.STAGE_DISPATCH, "e1"))
-    eng.schedule(Event(5, EventKind.STAGE_DISPATCH, "e2"))
+    eng.schedule(Event(5, EventKind.REQUEST_ARRIVAL, "e1"))
+    eng.schedule(Event(5, EventKind.REQUEST_ARRIVAL, "e2"))
     assert [e.payload for e in _collect(eng, 10)] == ["e1", "e2"]
 
 
 def test_scheduling_in_past_rejected():
     eng = Engine()
-    eng.schedule(Event(3, EventKind.STAGE_DISPATCH))
+    eng.schedule(Event(3, EventKind.REQUEST_ARRIVAL))
     eng.run_until(3, lambda ev: None)
     with pytest.raises(SchedulingInPast):
-        eng.schedule(Event(2, EventKind.STAGE_DISPATCH))
+        eng.schedule(Event(2, EventKind.REQUEST_ARRIVAL))
 
 
 def test_run_until_empty_queue_returns_end():
@@ -43,7 +43,7 @@ def test_run_until_empty_queue_returns_end():
 def test_run_until_boundary_is_inclusive():
     eng = Engine()
     for t in (1, 2, 3):
-        eng.schedule(Event(t, EventKind.STAGE_DISPATCH, t))
+        eng.schedule(Event(t, EventKind.REQUEST_ARRIVAL, t))
     assert [e.payload for e in _collect(eng, 2)] == [1, 2]
     assert eng.pending() == 1
 
@@ -55,10 +55,10 @@ def test_reentrant_scheduling_runs_before_later_events():
     def dispatch(ev):
         order.append(ev.payload)
         if ev.payload == 1:
-            eng.schedule(Event(1, EventKind.STAGE_DISPATCH, "mid"))
+            eng.schedule(Event(1, EventKind.REQUEST_ARRIVAL, "mid"))
 
-    eng.schedule(Event(1, EventKind.STAGE_DISPATCH, 1))
-    eng.schedule(Event(2, EventKind.STAGE_DISPATCH, 2))
+    eng.schedule(Event(1, EventKind.REQUEST_ARRIVAL, 1))
+    eng.schedule(Event(2, EventKind.REQUEST_ARRIVAL, 2))
     eng.run_until(5, dispatch)
     assert order == [1, "mid", 2]
 
@@ -67,7 +67,7 @@ def test_clock_never_decreases():
     eng = Engine()
     times = []
     for t in (4, 4, 2, 9, 2):
-        eng.schedule(Event(t, EventKind.STAGE_DISPATCH))
+        eng.schedule(Event(t, EventKind.REQUEST_ARRIVAL))
     eng.run_until(10, lambda ev: times.append(eng.now))
     assert times == sorted(times)
 
@@ -76,7 +76,7 @@ def test_clock_never_decreases():
 def test_processing_order_is_fire_at_seq_lexicographic(times):
     eng = Engine()
     for i, t in enumerate(times):
-        eng.schedule(Event(t, EventKind.STAGE_DISPATCH, (t, i)))
+        eng.schedule(Event(t, EventKind.REQUEST_ARRIVAL, (t, i)))
     seen = [ev.payload for ev in _collect(eng, 100)]
     assert seen == sorted(seen)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mssim.errors import DuplicateInstance, NoActiveInstance, UnknownInstance
+from mssim.errors import DuplicateInstance, NoActiveInstance
 from mssim.gateway import (
     InstanceLoadView,
     Registry,
@@ -37,21 +37,6 @@ def test_register_duplicate_rejected():
     reg = registry_with(0, 1)
     with pytest.raises(DuplicateInstance):
         reg.register(InstanceId(0, 0))
-
-
-def test_deregister_unknown_rejected():
-    reg = registry_with(0, 1)
-    with pytest.raises(UnknownInstance):
-        reg.deregister(InstanceId(0, 5))
-
-
-def test_deregister_cursor_target_clamps_cursor():
-    reg = registry_with(0, 3)
-    reg.select_round_robin(0)
-    reg.select_round_robin(0)  # cursor now 2
-    reg.deregister(InstanceId(0, 2))
-    assert reg.rr_cursor[0] in range(len(reg.instances(0)))
-    assert reg.select_round_robin(0) in reg.instances(0)
 
 
 def test_round_robin_cycles():

@@ -1,0 +1,75 @@
+"""Pinned SHA-256 digests of the CLI artifacts for three (config, seed) pairs.
+
+Determinism is the product: any change to `report.json`, `requests.csv`
+or the `--trace-out` CSV shows up here and has to be declared. The pinned
+values were computed at the commit before the flat `QueueKind` and the
+table-driven config parser, and must hold unchanged across refactors.
+Remake them only for a declared output change.
+
+The configs are the desk-scale experiment workload of
+`tests/test_acceptance.py` with a 2 s horizon.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from mssim.cli import cli_main
+
+EXPERIMENT = {
+    "end_time": "2s",
+    "seed": 1,
+    "sla": 4_000_000,
+    "arrival": {"mean_interarrival": 1066},
+    "exec": {"mu": 4.912514296647084, "sigma": 2.5, "unit": "us"},
+    "depth": {"0": 0.5, "2": 0.5},
+    "microservices": [4, 2, 1, 1],
+    "routing": {"call_probabilities": [0.62, 0.18, 0.08, 0.12], "fanout": 1},
+    "communication": {"comm_probabilities": [0.62, 0.18, 0.08, 0.12], "fanout": 1},
+    "utilization_interval": 5_000_000,
+    "imbalance_interval": 1_000_000,
+    "drain": True,
+}
+
+CASES = {
+    "fcfs-rr": (
+        {"queue_policy": "fcfs", "lb_policy": "round_robin"},
+        {
+            "report.json": "1f5c81a557782ac7d4176b523a79abf46bf1eee6a145cd6ffeec1e64ac9f926d",
+            "requests.csv": "d8c96899589da02577fc38913efd3cd863e6c2661da8b3258e16eb18167190d7",
+            "trace.csv": "806b948c26a0370394364d8b1bbca47b22cfad3531fbcedfd6e2fdea64dde6bf",
+        },
+    ),
+    "fair_share-greedy": (
+        {"queue_policy": {"kind": "fair_share", "quantum": 500}, "lb_policy": "greedy"},
+        {
+            "report.json": "a61e4af94c7f26ea366fac0b053f19ac053345588d94ada65c115e932f36304f",
+            "requests.csv": "09a8aca8b2a401b6becb6d5e998606e82cec129ce936b2e41e0a29cab4838198",
+            "trace.csv": "a160262d2115c299b8bcde58813620d5a22d2c9e304f0303564ea489cbf1ed82",
+        },
+    ),
+    "exds-lc": (
+        {"queue_policy": "exds", "lb_policy": "least_connection"},
+        {
+            "report.json": "3b66b37b50da3fe29989b070ce9d086efb498170f87ef3c3c447cdd7b8084e72",
+            "requests.csv": "4d7dcb31cb698bcb6e2f51f7d748362c46bcf7bd2b223b9834082b4d8ecb51cf",
+            "trace.csv": "12341343b6c0f276ce7b4a1854af6b6351a9f3ad334aee8dcf03880746083ed9",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifact_digests_are_pinned(tmp_path, name):
+    policies, pinned = CASES[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(EXPERIMENT, **policies)), encoding="utf-8")
+    out = tmp_path / "out"
+    trace = tmp_path / "trace.csv"
+    argv = ["--config", str(config), "--out", str(out), "--trace-out", str(trace)]
+    assert cli_main(argv) == 0
+    paths = {"report.json": out / "report.json", "requests.csv": out / "requests.csv",
+             "trace.csv": trace}
+    digests = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
+    assert digests == pinned

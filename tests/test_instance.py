@@ -2,7 +2,6 @@ import pytest
 
 from mssim.errors import ConfigError, WrongTarget
 from mssim.instance import (
-    DeadlineVariant,
     InstanceState,
     QueueKind,
     QueuePolicy,
@@ -24,8 +23,8 @@ def stage(exec_time, rid=0, arrival=0, deadline=None, target=0):
     )
 
 
-def instance(kind=QueueKind.FCFS, quantum=500, variant=None):
-    return InstanceState(InstanceId(0, 0), QueuePolicy(kind, quantum=quantum, variant=variant))
+def instance(kind=QueueKind.FCFS, quantum=500):
+    return InstanceState(InstanceId(0, 0), QueuePolicy(kind, quantum=quantum))
 
 
 def enq(state, st, now):
@@ -74,7 +73,7 @@ def test_shortest_first_picks_minimum_remaining():
 
 
 def test_early_deadline_picks_earliest_deadline():
-    inst = instance(QueueKind.EARLY_DEADLINE)
+    inst = instance(QueueKind.EDS)
     enq(inst, stage(1, rid=0), 0)
     enq(inst, stage(10, rid=1, deadline=9000), 0)  # arrives first
     enq(inst, stage(10, rid=2, deadline=7000), 0)

@@ -1,7 +1,7 @@
 import pytest
 
 from mssim.errors import UnstableSystem
-from mssim.instance import DeadlineVariant, QueueKind, QueuePolicy
+from mssim.instance import QueueKind, QueuePolicy
 from mssim.oracle import Mg1Params, OracleStage, brute_force_schedule, mg1_fcfs_mean_wait
 
 
@@ -59,7 +59,7 @@ def test_brute_force_early_deadline_orders_by_deadline():
         OracleStage(arrival=1, exec_time=50, request_id=1, deadline=60),
         OracleStage(arrival=2, exec_time=50, request_id=2, deadline=80),
     ]
-    policy = QueuePolicy(QueueKind.EARLY_DEADLINE, variant=DeadlineVariant.EDS)
+    policy = QueuePolicy(QueueKind.EDS)
     assert brute_force_schedule(stages, policy) == [(0, 50), (50, 100), (100, 150)]
 
 

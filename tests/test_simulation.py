@@ -5,7 +5,7 @@ import pytest
 
 from mssim.config import SimConfig
 from mssim.gateway import LbPolicy
-from mssim.instance import DeadlineVariant, QueueKind, QueuePolicy
+from mssim.instance import QueueKind, QueuePolicy
 from mssim.metrics import write_requests_csv
 from mssim.simulation import run_simulation
 from mssim.workload import (
@@ -115,8 +115,8 @@ def test_every_load_balancer_runs(lb):
         (QueuePolicy(QueueKind.FCFS), "fcfs"),
         (QueuePolicy(QueueKind.SHORTEST_FIRST), "shortest_first"),
         (QueuePolicy(QueueKind.FAIR_SHARE, quantum=500), "fair_share"),
-        (QueuePolicy(QueueKind.EARLY_DEADLINE, variant=DeadlineVariant.EDS), "eds"),
-        (QueuePolicy(QueueKind.EARLY_DEADLINE, variant=DeadlineVariant.EXDS), "exds"),
+        (QueuePolicy(QueueKind.EDS), "eds"),
+        (QueuePolicy(QueueKind.EXDS), "exds"),
     ],
 )
 def test_every_queue_policy_runs(policy, name):

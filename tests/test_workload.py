@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mssim.config import SimConfig
 from mssim.engine import RngStream, make_streams
-from mssim.errors import ConfigError, MalformedTrace
+from mssim.errors import ConfigError, MalformedTrace, ValidationError
 from mssim.model import iter_nodes, paths_max_depth, stage_count, validate_tree
+from mssim.simulation import run_simulation
 from mssim.workload import (
     ArrivalModel,
     CommunicationModel,
@@ -18,7 +20,6 @@ from mssim.workload import (
     TraceRow,
     WorkloadModel,
     build_client_request,
-    export_trace,
     read_trace_csv,
     replay_trace,
     sample_depth,
@@ -154,6 +155,13 @@ def test_communication_exclusion_renormalizes():
                 assert child.stage.target != node.stage.target
 
 
+def test_nan_weights_and_probabilities_rejected():
+    with pytest.raises(ValidationError, match="routing.call_probabilities"):
+        RoutingModel(call_probabilities=(math.nan, 1.0)).validate()
+    with pytest.raises(ValidationError, match="depth"):
+        DepthModel(outcomes=((0, math.nan),)).validate()
+
+
 def test_single_microservice_with_positive_depth_rejected():
     streams = make_streams(3)
     with pytest.raises(ConfigError):
@@ -171,31 +179,24 @@ def test_sampled_trees_always_validate(seed):
         assert paths_max_depth(req) == req.max_depth
 
 
-# --- trace export / replay -----------------------------------------------------
+# --- trace replay and CSV I/O ------------------------------------------------
 
 
-def test_export_chain_rows():
-    streams = make_streams(1)
-    req = build_client_request(4, 250, wl(depth=((2, 1.0),)), streams)
-    rows = export_trace([req])
-    assert [r.hops_done for r in rows] == [0, 1, 2]
-    assert all(r.request_id == 4 and r.timestamp == 250 for r in rows)
-    assert rows[0].called_by is None and rows[1].called_by is not None
-
-
-def test_export_depth_zero_row_has_null_caller():
-    streams = make_streams(1)
-    req = build_client_request(0, 0, wl(depth=((0, 1.0),)), streams)
-    rows = export_trace([req])
-    assert len(rows) == 1 and rows[0].called_by is None
+def run_trace(seed, end_time, replay=None):
+    """Trace rows recorded by a small three-microservice run."""
+    model = wl(n_ms=3)
+    cfg = SimConfig(
+        end_time=end_time, seed=seed, arrival=model.arrival, exec_model=model.exec,
+        depth=model.depth, routing=model.routing, communication=model.communication,
+        microservices=(2, 1, 1),
+    )
+    return run_simulation(cfg, replay=replay, collect_trace=True).trace_rows
 
 
 def test_export_replay_export_is_identity():
-    streams = make_streams(9)
-    model = wl(n_ms=3)
-    reqs = [build_client_request(i, i * 997, model, streams) for i in range(50)]
-    rows = export_trace(reqs)
-    rows2 = export_trace(replay_trace(rows))
+    rows = run_trace(9, 50_000)
+    assert len({r.request_id for r in rows}) > 20
+    rows2 = run_trace(9, 50_000, replay=replay_trace(rows))
     assert rows2 == rows
 
 
@@ -233,10 +234,8 @@ def test_replay_ambiguous_parent_rejected():
 
 
 def test_trace_csv_round_trip_bit_exact():
-    streams = make_streams(4)
-    model = wl(n_ms=3)
-    reqs = [build_client_request(i, i * 31, model, streams) for i in range(20)]
-    rows = export_trace(reqs)
+    rows = run_trace(4, 20_000)
+    assert rows
     buf = io.StringIO()
     write_trace_csv(rows, buf)
     text = buf.getvalue()
