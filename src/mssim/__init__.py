@@ -1,7 +1,7 @@
 """mssim: deterministic discrete-event simulator for microservice applications."""
 
 from .config import SimConfig, load_config
-from .engine import Engine, Event, EventKind, RngStream, make_streams
+from .engine import Engine, RngStream, make_streams
 from .gateway import LbPolicy, Registry
 from .instance import QueueKind, QueuePolicy
 from .metrics import (
@@ -36,8 +36,6 @@ __all__ = [
     "CommunicationModel",
     "DepthModel",
     "Engine",
-    "Event",
-    "EventKind",
     "ExecModel",
     "ExecUnit",
     "LbPolicy",

@@ -7,13 +7,12 @@ simultaneous events are delivered first-scheduled-first.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
-from enum import IntEnum
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import SchedulingInPast
 
@@ -25,44 +24,46 @@ def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-class EventKind(IntEnum):
-    REQUEST_ARRIVAL = 0
-    EXECUTION_SLICE_COMPLETE = 1
-    UTILIZATION_SAMPLE = 2
+Handler = Callable[[Any], None]
 
+try:
+    from operator import call as deliver  # Python >= 3.11
+except ImportError:  # pragma: no cover
 
-@dataclass(slots=True)
-class Event:
-    fire_at: SimTime
-    kind: EventKind
-    payload: Any = None
+    def deliver(handler: Handler, payload: Any) -> None:
+        """Fire one event: call handler(payload)."""
+        handler(payload)
 
 
 class Engine:
-    """Single-threaded event loop. Not shared across threads."""
+    """Single-threaded event loop. Not shared across threads.
+
+    An event is a heap entry (fire_at, seq, handler, payload). Firing it sets
+    `now` to fire_at and calls handler(payload).
+    """
+
+    __slots__ = ("now", "_heap", "_seq")
 
     def __init__(self) -> None:
-        self._now: SimTime = 0
-        self._heap: list[tuple[SimTime, int, Event]] = []
+        self.now: SimTime = 0
+        self._heap: list[tuple[SimTime, int, Handler, Any]] = []
         self._seq = 0
-
-    @property
-    def now(self) -> SimTime:
-        return self._now
 
     def pending(self) -> int:
         return len(self._heap)
 
-    def schedule(self, event: Event) -> None:
-        if event.fire_at < self._now:
-            raise SchedulingInPast(
-                f"event at t={event.fire_at} scheduled when now={self._now}"
-            )
-        heapq.heappush(self._heap, (event.fire_at, self._seq, event))
+    def schedule(self, fire_at: SimTime, handler: Handler, payload: Any = None) -> None:
+        if fire_at < self.now:
+            raise SchedulingInPast(f"event at t={fire_at} scheduled when now={self.now}")
+        heappush(self._heap, (fire_at, self._seq, handler, payload))
         self._seq += 1
 
-    def run_until(self, end: SimTime, dispatch: Callable[[Event], None]) -> SimTime:
-        """Process all events with fire_at <= end in order; clock lands on end.
+    # run_until and drain fire each event as fire(handler, payload); a caller
+    # that passes `deliver` explicitly lets a profiler wrap it (bench/tracer.py
+    # times every event this way)
+
+    def run_until(self, end: SimTime, fire: Callable[[Handler, Any], None] = deliver) -> SimTime:
+        """Fire all events with fire_at <= end in order; clock lands on end.
 
         Events beyond `end` stay queued (see drain). An exhausted queue still
         advances the clock to `end` so utilization denominators cover the
@@ -70,21 +71,19 @@ class Engine:
         """
         heap = self._heap
         while heap and heap[0][0] <= end:
-            fire_at, _, event = heapq.heappop(heap)
-            self._now = fire_at
-            dispatch(event)
-        if end > self._now:
-            self._now = end
-        return self._now
+            self.now, _, handler, payload = heappop(heap)
+            fire(handler, payload)
+        if end > self.now:
+            self.now = end
+        return self.now
 
-    def drain(self, dispatch: Callable[[Event], None]) -> SimTime:
-        """Process every remaining event regardless of time; returns the final clock."""
+    def drain(self, fire: Callable[[Handler, Any], None] = deliver) -> SimTime:
+        """Fire every remaining event regardless of time; returns the final clock."""
         heap = self._heap
         while heap:
-            fire_at, _, event = heapq.heappop(heap)
-            self._now = fire_at
-            dispatch(event)
-        return self._now
+            self.now, _, handler, payload = heappop(heap)
+            fire(handler, payload)
+        return self.now
 
 
 # Fixed stream labels so that changing one model never perturbs another's draws.
@@ -108,9 +107,7 @@ class RngStream:
         key = _STREAM_IDS[stream_id]
         self.seed = seed
         self.stream_id = stream_id
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
-        )
+        self._gen = Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(key,))))
         self._chunk = chunk
         self._buf = np.empty(0)
         self._pos = 0

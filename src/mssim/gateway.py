@@ -6,13 +6,15 @@ instance's queue at the same simulated time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .engine import SimTime
 from .errors import DuplicateInstance, NoActiveInstance
-from .model import InstanceId, MicroserviceId
+from .model import MicroserviceId
+
+if TYPE_CHECKING:
+    from .instance import InstanceState
 
 
 class LbPolicy(Enum):
@@ -21,34 +23,25 @@ class LbPolicy(Enum):
     GREEDY = "greedy"
 
 
-@dataclass(slots=True)
-class InstanceLoadView:
-    """Load snapshot of one instance as the balancer sees it."""
-
-    instance: InstanceId
-    queued_count: int
-    queued_exec_sum: SimTime  # sum of remaining exec over queued stages
-    current_remaining: SimTime  # remaining exec of the in-flight stage, 0 if idle
-
-
 class Registry:
-    """Service discovery: microservice id -> active instances (+ RR cursors)."""
+    """Service discovery: microservice id -> its instances in slot order (+ RR cursors)."""
 
     def __init__(self) -> None:
-        self.entries: dict[MicroserviceId, list[InstanceId]] = {}
+        self.entries: dict[MicroserviceId, list[InstanceState]] = {}
         self.rr_cursor: dict[MicroserviceId, int] = {}
 
-    def instances(self, ms: MicroserviceId) -> list[InstanceId]:
+    def instances(self, ms: MicroserviceId) -> list[InstanceState]:
         return self.entries.get(ms, [])
 
-    def register(self, instance: InstanceId) -> None:
-        lst = self.entries.setdefault(instance.ms, [])
-        if instance in lst:
-            raise DuplicateInstance(f"{instance} already registered")
+    def register(self, instance: InstanceState) -> None:
+        """Add an instance; register each microservice's instances in slot order."""
+        lst = self.entries.setdefault(instance.id.ms, [])
+        if any(other.id == instance.id for other in lst):
+            raise DuplicateInstance(f"{instance.id} already registered")
         lst.append(instance)
-        self.rr_cursor.setdefault(instance.ms, 0)
+        self.rr_cursor.setdefault(instance.id.ms, 0)
 
-    def select_round_robin(self, ms: MicroserviceId) -> InstanceId:
+    def select_round_robin(self, ms: MicroserviceId) -> InstanceState:
         """Each instance in turn; loops back at the end of the list."""
         lst = self.entries.get(ms, [])
         if not lst:
@@ -59,20 +52,15 @@ class Registry:
         return instance
 
 
-def select_least_connection(views: Sequence[InstanceLoadView]) -> InstanceId:
-    """Fewest queued requests; ties broken by lowest slot index."""
-    if not views:
-        raise NoActiveInstance("no instance views")
-    best = min(views, key=lambda v: (v.queued_count, v.instance.slot))
-    return best.instance
+def select_least_connection(states: Sequence[InstanceState]) -> InstanceState:
+    """Fewest queued stages; ties broken by lowest slot index."""
+    if not states:
+        raise NoActiveInstance("no instances to choose from")
+    return min(states, key=lambda s: (len(s.queue), s.id.slot))
 
 
-def select_greedy(views: Sequence[InstanceLoadView]) -> InstanceId:
-    """Least load = queued exec sum + remaining exec of the running stage."""
-    if not views:
-        raise NoActiveInstance("no instance views")
-    best = min(
-        views,
-        key=lambda v: (v.queued_exec_sum + v.current_remaining, v.instance.slot),
-    )
-    return best.instance
+def select_greedy(states: Sequence[InstanceState], now: SimTime) -> InstanceState:
+    """Least backlog at `now` (InstanceState.backlog); ties broken by lowest slot index."""
+    if not states:
+        raise NoActiveInstance("no instances to choose from")
+    return min(states, key=lambda s: (s.backlog(now), s.id.slot))

@@ -9,6 +9,7 @@ min(remaining, quantum) and re-appends unfinished stages at the tail.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -16,7 +17,6 @@ from typing import Any, Optional
 
 from .engine import SimTime, round_half_up
 from .errors import ConfigError, WrongTarget
-from .gateway import InstanceLoadView
 from .model import (
     CallNode,
     ClientRequest,
@@ -58,38 +58,36 @@ class QueuedStage:
     client: Any = None  # per-run client bookkeeping, opaque to the instance
 
 
-class _FifoQueue:
+class _FifoQueue(deque):
     """Arrival-order queue; fair-share requeues append at the tail."""
 
+    __slots__ = ("exec_sum",)  # sum of remaining exec over queued stages
+
     def __init__(self) -> None:
-        self._q: deque[QueuedStage] = deque()
+        super().__init__()
         self.exec_sum: SimTime = 0
 
-    def __len__(self) -> int:
-        return len(self._q)
-
     def push(self, item: QueuedStage) -> None:
-        self._q.append(item)
+        self.append(item)
         self.exec_sum += item.stage.remaining
 
-    def pop(self) -> QueuedStage:
-        item = self._q.popleft()
+    def take(self) -> QueuedStage:
+        item = self.popleft()
         self.exec_sum -= item.stage.remaining
         return item
 
 
-class _KeyedQueue:
-    """Priority queue over a policy key; ties by (arrival, request_id, seq)."""
+class _KeyedQueue(list):
+    """Priority queue (a heap) over a policy key; ties by (arrival, request_id, seq)."""
+
+    __slots__ = ("_primary", "_seq", "exec_sum")
 
     def __init__(self, primary: Optional[str]):
+        super().__init__()
         # primary: None (pure fcfs), "remaining", or "deadline"
         self._primary = primary
-        self._heap: list[tuple] = []
         self._seq = 0
         self.exec_sum: SimTime = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def push(self, item: QueuedStage) -> None:
         st = item.stage
@@ -101,11 +99,11 @@ class _KeyedQueue:
         else:
             key = (st.deadline, *tie)
         self._seq += 1
-        heapq.heappush(self._heap, (*key, item))
+        heapq.heappush(self, (*key, item))
         self.exec_sum += st.remaining
 
-    def pop(self) -> QueuedStage:
-        item = heapq.heappop(self._heap)[-1]
+    def take(self) -> QueuedStage:
+        item = heapq.heappop(self)[-1]
         self.exec_sum -= item.stage.remaining
         return item
 
@@ -119,27 +117,30 @@ def _make_queue(policy: QueuePolicy):
 
 
 class InstanceState:
-    """One microservice instance: pending queue, in-flight slice, busy time."""
+    """One microservice instance: pending queue, in-flight slice, busy time.
+
+    While a slice runs, `current.stage.remaining` is the stage's remaining
+    exec at the slice start; finish_slice charges the slice to it.
+    """
 
     __slots__ = (
         "id",
-        "policy",
+        "quantum",
         "queue",
         "current",
         "slice_start",
         "slice_end",
-        "current_total_left",
         "busy_accum",
     )
 
     def __init__(self, instance_id: InstanceId, policy: QueuePolicy):
         self.id = instance_id
-        self.policy = policy
+        # longest slice; only fair share cuts a stage short
+        self.quantum = policy.quantum if policy.kind is QueueKind.FAIR_SHARE else math.inf
         self.queue = _make_queue(policy)
         self.current: Optional[QueuedStage] = None
         self.slice_start: SimTime = 0
         self.slice_end: SimTime = 0
-        self.current_total_left: SimTime = 0
         self.busy_accum: SimTime = 0
 
     # -- load accounting ---------------------------------------------------
@@ -151,16 +152,15 @@ class InstanceState:
             busy += now - self.slice_start
         return busy
 
-    def load_view(self, now: SimTime) -> InstanceLoadView:
-        current_remaining = 0
-        if self.current is not None:
-            current_remaining = self.current_total_left - (now - self.slice_start)
-        return InstanceLoadView(
-            instance=self.id,
-            queued_count=len(self.queue),
-            queued_exec_sum=self.queue.exec_sum,
-            current_remaining=current_remaining,
-        )
+    def backlog(self, now: SimTime) -> SimTime:
+        """Exec still owed at `now`: queued stages plus the rest of the running one."""
+        current = self.current
+        if current is None:
+            return self.queue.exec_sum
+        return self.queue.exec_sum + current.stage.remaining - (now - self.slice_start)
+
+    # the benchmark's per-layer tracer (bench/tracer.py) wraps this name
+    load_view = backlog
 
     # -- queue operations ----------------------------------------------------
 
@@ -173,25 +173,17 @@ class InstanceState:
             raise WrongTarget(
                 f"stage targets ms {item.stage.target}, instance is {self.id}"
             )
-        self.queue.push(item)
         if self.current is None:
-            return self.start_next(now)
+            return self._start(item, now)
+        self.queue.push(item)
         return None
 
-    def start_next(self, now: SimTime) -> Optional[SimTime]:
-        """Pick per policy and start a slice; returns its end time, or None."""
-        if self.current is not None or len(self.queue) == 0:
-            return None
-        item = self.queue.pop()
-        stage = item.stage
-        if self.policy.kind is QueueKind.FAIR_SHARE:
-            slice_len = min(stage.remaining, self.policy.quantum)
-        else:
-            slice_len = stage.remaining
+    def _start(self, item: QueuedStage, now: SimTime) -> SimTime:
+        """Run a slice of `item` from `now`; returns its end time."""
+        left = item.stage.remaining
         self.current = item
-        self.current_total_left = stage.remaining
         self.slice_start = now
-        self.slice_end = now + slice_len
+        self.slice_end = now + (left if left <= self.quantum else self.quantum)
         return self.slice_end
 
     def finish_slice(
@@ -203,17 +195,28 @@ class InstanceState:
         """
         item = self.current
         assert item is not None and now == self.slice_end
-        slice_len = now - self.slice_start
-        self.busy_accum += slice_len
-        item.stage.remaining -= slice_len
+        ran = now - self.slice_start
+        self.busy_accum += ran
+        stage = item.stage
+        left = stage.remaining - ran
+        stage.remaining = left
+        queue = self.queue
+        if left > 0:
+            # fair share: back to the tail and run the head; alone, the stage
+            # runs on without touching the queue
+            if queue:
+                queue.append(item)
+                item = queue.popleft()
+                queue.exec_sum += left - item.stage.remaining
+                self.current = item
+                left = item.stage.remaining
+            self.slice_start = now
+            self.slice_end = end = now + (left if left <= self.quantum else self.quantum)
+            return None, end
+        if queue:
+            return item, self._start(queue.take(), now)
         self.current = None
-        completed = None
-        if item.stage.remaining > 0:
-            self.queue.push(item)  # fair share: back to the tail
-        else:
-            completed = item
-        next_end = self.start_next(now)
-        return completed, next_end
+        return item, None
 
 
 # --- early-deadline slack division ------------------------------------------

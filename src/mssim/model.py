@@ -53,6 +53,10 @@ class ClientRequest:
     sla: SimTime  # total deadline budget
     max_depth: int
     root_stages: list[CallNode] = field(default_factory=list)
+    # stage_count and critical_path_exec, counted by build_client_request and
+    # replay_trace while they build the tree; 0 when the tree was built by hand
+    stages: int = 0
+    crit_exec: SimTime = 0
 
 
 def iter_nodes(req: ClientRequest) -> Iterator[CallNode]:
@@ -75,21 +79,27 @@ def paths_max_depth(req: ClientRequest) -> int:
 
 def critical_path_exec(req: ClientRequest) -> SimTime:
     """Max over root-to-leaf paths of the summed execution time along the path."""
-
-    def walk(node: CallNode) -> SimTime:
-        if not node.children:
-            return node.stage.exec_time
-        return node.stage.exec_time + max(walk(c) for c in node.children)
-
-    return max(walk(root) for root in req.root_stages)
+    best = 0
+    stack = [(root, 0) for root in req.root_stages]
+    while stack:
+        node, above = stack.pop()
+        path = above + node.stage.exec_time
+        if node.children:
+            stack.extend((child, path) for child in node.children)
+        elif path > best:
+            best = path
+    return best
 
 
 def validate_tree(req: ClientRequest) -> None:
     """Reject trees violating the depth / self-call / caller invariants."""
     if not req.root_stages:
         raise InvalidRequest(f"request {req.request_id}: empty call tree")
-
-    def walk(node: CallNode, parent: Optional[CallNode]) -> None:
+    stack: list[tuple[CallNode, Optional[CallNode]]] = [
+        (root, None) for root in reversed(req.root_stages)
+    ]
+    while stack:
+        node, parent = stack.pop()
         st = node.stage
         if st.exec_time <= 0:
             raise InvalidRequest(f"request {req.request_id}: exec_time <= 0")
@@ -115,8 +125,4 @@ def validate_tree(req: ClientRequest) -> None:
             raise InvalidRequest(
                 f"request {req.request_id}: depth {st.depth} exceeds max_depth {req.max_depth}"
             )
-        for child in node.children:
-            walk(child, node)
-
-    for root in req.root_stages:
-        walk(root, None)
+        stack.extend((child, node) for child in reversed(node.children))

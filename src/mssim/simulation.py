@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .config import SimConfig
-from .engine import Engine, Event, EventKind, SimTime, make_streams
+from .engine import Engine, SimTime, deliver, make_streams
 from .gateway import (
     LbPolicy,
     Registry,
@@ -28,7 +28,7 @@ from .model import (
     critical_path_exec,
     stage_count,
 )
-from .workload import TraceRow, build_client_request
+from .workload import TraceRow, build_client_request, sample_interarrival
 
 
 @dataclass(slots=True)
@@ -62,16 +62,17 @@ class Simulation:
     ):
         cfg.validate()
         self.cfg = cfg
+        self.workload = cfg.workload()
         self.engine = Engine()
         self.registry = Registry()
-        self.instances: dict[InstanceId, InstanceState] = {}
         # instances are deployed before the simulation starts; no scaling
+        self.instances: list[InstanceState] = []
         for ms, count in enumerate(cfg.microservices):
             for slot in range(count):
-                iid = InstanceId(ms, slot)
-                self.registry.register(iid)
-                self.instances[iid] = InstanceState(iid, cfg.queue_policy)
-        self.collector = MetricsCollector(list(self.instances))
+                state = InstanceState(InstanceId(ms, slot), cfg.queue_policy)
+                self.registry.register(state)
+                self.instances.append(state)
+        self.collector = MetricsCollector([state.id for state in self.instances])
         self.trace_rows: list[TraceRow] = []
         if collect_trace is None:
             collect_trace = cfg.trace_out is not None
@@ -89,66 +90,46 @@ class Simulation:
 
     # -- event handlers --------------------------------------------------------
 
-    def _dispatch_event(self, event: Event) -> None:
-        kind = event.kind
-        if kind is EventKind.EXECUTION_SLICE_COMPLETE:
-            self._on_slice_complete(event)
-        elif kind is EventKind.REQUEST_ARRIVAL:
-            self._on_arrival(event)
-        elif kind is EventKind.UTILIZATION_SAMPLE:
-            self._on_sample(event)
-
     def _schedule_next_arrival(self, now: SimTime) -> None:
         if self._replay_iter is not None:
             req = next(self._replay_iter, None)
             if req is not None and req.created_at <= self.cfg.end_time:
-                self.engine.schedule(
-                    Event(req.created_at, EventKind.REQUEST_ARRIVAL, req)
-                )
+                self.engine.schedule(req.created_at, self._on_arrival, req)
         else:
-            from .workload import sample_interarrival
-
-            gap = sample_interarrival(self.cfg.arrival, self.streams["arrival"])
+            gap = sample_interarrival(self.workload.arrival, self.streams["arrival"])
             if now + gap <= self.cfg.end_time:
-                self.engine.schedule(
-                    Event(now + gap, EventKind.REQUEST_ARRIVAL, None)
-                )
+                self.engine.schedule(now + gap, self._on_arrival)
 
-    def _on_arrival(self, event: Event) -> None:
+    def _on_arrival(self, req: Optional[ClientRequest]) -> None:
         now = self.engine.now
         self._schedule_next_arrival(now)
-        req: Optional[ClientRequest] = event.payload
         if req is None:
             req = build_client_request(
-                self._next_request_id, now, self.cfg.workload(), self.streams
+                self._next_request_id, now, self.workload, self.streams
             )
             self._next_request_id += 1
+        elif req.stages == 0:  # built by hand rather than by replay_trace
+            req.stages = stage_count(req)
+            req.crit_exec = critical_path_exec(req)
         if self._deadline_kind is not None:
             if req.sla <= 0:  # replayed trees carry no SLA of their own
                 req.sla = self.cfg.sla
             assign_deadlines(req, self._deadline_kind)
-        live = _LiveRequest(
-            request_id=req.request_id,
-            created_at=req.created_at,
-            crit_exec=critical_path_exec(req),
-            pending=stage_count(req),
-        )
+        live = _LiveRequest(req.request_id, req.created_at, req.crit_exec, req.stages)
         for root in req.root_stages:
             self._dispatch_stage(root, live, now)
 
-    def _select_instance(self, ms: int, now: SimTime) -> InstanceId:
-        if self.cfg.lb_policy is LbPolicy.ROUND_ROBIN:
+    def _select_instance(self, ms: int, now: SimTime) -> InstanceState:
+        lb = self.cfg.lb_policy
+        if lb is LbPolicy.ROUND_ROBIN:
             return self.registry.select_round_robin(ms)
-        views = [
-            self.instances[iid].load_view(now) for iid in self.registry.instances(ms)
-        ]
-        if self.cfg.lb_policy is LbPolicy.LEAST_CONNECTION:
-            return select_least_connection(views)
-        return select_greedy(views)
+        if lb is LbPolicy.LEAST_CONNECTION:
+            return select_least_connection(self.registry.instances(ms))
+        return select_greedy(self.registry.instances(ms), now)
 
     def _dispatch_stage(self, node: CallNode, live: _LiveRequest, now: SimTime) -> None:
         stage = node.stage
-        iid = self._select_instance(stage.target, now)
+        state = self._select_instance(stage.target, now)
         stage.arrival_at_instance = now  # zero gateway delay
         if self.collect_trace:
             self.trace_rows.append(
@@ -161,17 +142,13 @@ class Simulation:
                     called_by=stage.called_by,
                 )
             )
-        state = self.instances[iid]
-        item = QueuedStage(stage=stage, children=tuple(node.children), client=live)
+        item = QueuedStage(stage, tuple(node.children), live)
         slice_end = state.enqueue(item, now)
         if slice_end is not None:
-            self.engine.schedule(
-                Event(slice_end, EventKind.EXECUTION_SLICE_COMPLETE, state)
-            )
+            self.engine.schedule(slice_end, self._on_slice_complete, state)
 
-    def _on_slice_complete(self, event: Event) -> None:
+    def _on_slice_complete(self, state: InstanceState) -> None:
         now = self.engine.now
-        state: InstanceState = event.payload
         completed, next_end = state.finish_slice(now)
         if completed is not None:
             stage = completed.stage
@@ -189,25 +166,19 @@ class Simulation:
                     live.request_id, live.created_at, now, live.crit_exec
                 )
         if next_end is not None:
-            self.engine.schedule(
-                Event(next_end, EventKind.EXECUTION_SLICE_COMPLETE, state)
-            )
+            self.engine.schedule(next_end, self._on_slice_complete, state)
 
-    def _on_sample(self, event: Event) -> None:
+    def _on_sample(self, sample: tuple[str, SimTime]) -> None:
         now = self.engine.now
-        kind, interval = event.payload
-        busy = [self.instances[iid].busy_time_until(now) for iid in self.collector.instance_ids]
+        kind, interval = sample
+        busy = [state.busy_time_until(now) for state in self.instances]
         self.collector.snapshot(kind, now, busy)
         nxt = now + interval
         if nxt <= self.cfg.end_time:
-            self.engine.schedule(
-                Event(nxt, EventKind.UTILIZATION_SAMPLE, (kind, interval))
-            )
+            self.engine.schedule(nxt, self._on_sample, sample)
         elif now < self.cfg.end_time:
             # final partial window up to the cutoff
-            self.engine.schedule(
-                Event(self.cfg.end_time, EventKind.UTILIZATION_SAMPLE, (kind, interval))
-            )
+            self.engine.schedule(self.cfg.end_time, self._on_sample, sample)
 
     # -- run ---------------------------------------------------------------------
 
@@ -219,13 +190,12 @@ class Simulation:
             ("imb", cfg.imbalance_interval),
         ):
             first = min(interval, cfg.end_time)
-            self.engine.schedule(
-                Event(first, EventKind.UTILIZATION_SAMPLE, (kind, interval))
-            )
-        self.engine.run_until(cfg.end_time, self._dispatch_event)
+            self.engine.schedule(first, self._on_sample, (kind, interval))
+        # `deliver` is passed explicitly so that a profiler can wrap it
+        self.engine.run_until(cfg.end_time, deliver)
         drain_until = cfg.end_time
         if cfg.drain:
-            drain_until = max(cfg.end_time, self.engine.drain(self._dispatch_event))
+            drain_until = max(cfg.end_time, self.engine.drain(deliver))
         report = self.collector.finalize_report(
             end_time=cfg.end_time,
             drain_until=drain_until,

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from scipy.special import ndtri
-
 from .engine import RngStream, SimTime, round_half_up
 from .errors import ConfigError, MalformedTrace, ValidationError
 from .model import CallNode, ClientRequest, StageRequest
@@ -158,6 +156,113 @@ def sample_interarrival(model: ArrivalModel, rng: RngStream) -> SimTime:
     return max(1, round_half_up(gap))
 
 
+# Cephes ndtri (inverse of the standard normal CDF), as in scipy.special.ndtri.
+# The coefficients and the Horner evaluation order are Cephes', so results
+# match it bit for bit. Each Q has Cephes' implicit leading 1.0 written out.
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+# central range y in (exp(-2), 1 - exp(-2)); with w = y - 0.5,
+# z = sqrt(2 pi) * (w + w * w^2 P0(w^2) / Q0(w^2))
+_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0,
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+# tails: with x = sqrt(-2 log y) and t = 1/x, |z| = x - log(x)/x - t P(t) / Q(t);
+# P1, Q1 for x in [2, 8), that is y down to exp(-32)
+_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0,
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+# P2, Q2 for x >= 8
+_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0,
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
+
+
+def _horner(x: float, coef: tuple[float, ...]) -> float:
+    """coef[0] x^n + ... + coef[n]; 0.0 * x + coef[0] is exactly coef[0]."""
+    acc = 0.0
+    for c in coef:
+        acc = acc * x + c
+    return acc
+
+
+def ndtri(y: float) -> float:
+    """The z with standard normal CDF(z) = y; -inf at 0, inf at 1, nan outside [0, 1]."""
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    if x < 8.0:
+        tail = z * _horner(z, _P1) / _horner(z, _Q1)
+    else:
+        tail = z * _horner(z, _P2) / _horner(z, _Q2)
+    x = x - math.log(x) / x - tail
+    return x if upper else -x
+
+
 def sample_exec_time(model: ExecModel, rng: RngStream) -> SimTime:
     """exp(N(mu, sigma)) scaled by unit, rounded, floored at 1 us."""
     z = ndtri(rng.uniform())
@@ -228,35 +333,49 @@ def build_client_request(
     if depth > 0 and n_ms < 2:
         raise ConfigError("sampled depth > 0 with a single configured microservice")
 
-    req = ClientRequest(
-        request_id=request_id, created_at=now, sla=wl.sla, max_depth=depth
-    )
-
     roots = _sample_distinct(
         wl.routing.call_probabilities, wl.routing.fanout, streams["routing"]
     )
-
-    def make_node(target: int, d: int, called_by: Optional[int]) -> CallNode:
-        stage = StageRequest(
-            request_id=request_id,
-            target=target,
-            exec_time=sample_exec_time(wl.exec, streams["exec"]),
-            depth=d,
-            called_by=called_by,
+    exec_stream = streams["exec"]
+    comm_stream = streams["communication"]
+    comm = wl.communication
+    root_stages: list[CallNode] = []
+    stages = crit_exec = 0
+    # depth-first preorder, the order in which the streams are drawn; an
+    # entry is (target, depth, caller, list to append the node to, exec above)
+    stack = [(t, 0, None, root_stages, 0) for t in reversed(roots)]
+    while stack:
+        target, d, called_by, siblings, above = stack.pop()
+        exec_time = sample_exec_time(wl.exec, exec_stream)
+        node = CallNode(
+            stage=StageRequest(
+                request_id=request_id,
+                target=target,
+                exec_time=exec_time,
+                depth=d,
+                called_by=called_by,
+            )
         )
-        node = CallNode(stage=stage)
+        siblings.append(node)
+        stages += 1
+        path = above + exec_time
         if d < depth:
             children = _sample_distinct(
-                wl.communication.comm_probabilities,
-                wl.communication.fanout,
-                streams["communication"],
-                exclude=target,
+                comm.comm_probabilities, comm.fanout, comm_stream, exclude=target
             )
-            node.children = [make_node(c, d + 1, target) for c in children]
-        return node
-
-    req.root_stages = [make_node(t, 0, None) for t in roots]
-    return req
+            for c in reversed(children):
+                stack.append((c, d + 1, target, node.children, path))
+        elif path > crit_exec:  # every path reaches the sampled depth
+            crit_exec = path
+    return ClientRequest(
+        request_id=request_id,
+        created_at=now,
+        sla=wl.sla,
+        max_depth=depth,
+        root_stages=root_stages,
+        stages=stages,
+        crit_exec=crit_exec,
+    )
 
 
 # --- trace replay and CSV I/O ---------------------------------------------
@@ -303,6 +422,8 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
         created_at = min(r.timestamp for r in req_rows)
         nodes_by_depth: dict[int, list[CallNode]] = {}
         roots: list[CallNode] = []
+        # exec summed along the path from the root, per node (rows come parents first)
+        path_exec: dict[int, SimTime] = {}
         for row in req_rows:
             stage = StageRequest(
                 request_id=request_id,
@@ -314,6 +435,7 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
             node = CallNode(stage=stage)
             if row.hops_done == 0:
                 roots.append(node)
+                path_exec[id(node)] = row.exetime
             else:
                 if row.called_by == row.called_ms:
                     raise MalformedTrace(
@@ -335,6 +457,7 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
                         f"{row.hops_done} called_by {row.called_by}"
                     )
                 parents[0].children.append(node)
+                path_exec[id(node)] = path_exec[id(parents[0])] + row.exetime
             nodes_by_depth.setdefault(row.hops_done, []).append(node)
         if not roots:
             raise MalformedTrace(f"request {request_id}: no depth-0 row")
@@ -346,6 +469,9 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
                 sla=0,  # SLA comes from the run config, not the trace
                 max_depth=max_depth,
                 root_stages=roots,
+                stages=len(req_rows),
+                # exec > 0, so the longest path ends at a leaf
+                crit_exec=max(path_exec.values()),
             )
         )
     return requests

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from mssim.config import SimConfig
-from mssim.engine import Engine, Event, EventKind
+from mssim.engine import Engine
 from mssim.gateway import LbPolicy
 from mssim.instance import (
     InstanceState,
@@ -134,16 +134,17 @@ def engine_schedule(stages, policy):
     state = InstanceState(InstanceId(0, 0), policy)
     completion = {}
 
-    def dispatch(event):
-        now = eng.now
-        if event.kind is EventKind.REQUEST_ARRIVAL:
-            nxt = state.enqueue(event.payload, now)
-        else:
-            done, nxt = state.finish_slice(now)
-            if done is not None:
-                completion[done.stage.request_id] = now
+    def on_arrival(item):
+        nxt = state.enqueue(item, eng.now)
         if nxt is not None:
-            eng.schedule(Event(nxt, EventKind.EXECUTION_SLICE_COMPLETE, None))
+            eng.schedule(nxt, on_slice_complete)
+
+    def on_slice_complete(_):
+        done, nxt = state.finish_slice(eng.now)
+        if done is not None:
+            completion[done.stage.request_id] = eng.now
+        if nxt is not None:
+            eng.schedule(nxt, on_slice_complete)
 
     for s in sorted(stages, key=lambda s: (s.arrival, s.request_id)):
         stage = StageRequest(
@@ -155,8 +156,8 @@ def engine_schedule(stages, policy):
             deadline=s.deadline,
         )
         item = QueuedStage(stage=stage, children=(), client=None)
-        eng.schedule(Event(s.arrival, EventKind.REQUEST_ARRIVAL, item))
-    eng.drain(dispatch)
+        eng.schedule(s.arrival, on_arrival, item)
+    eng.drain()
     return [completion[s.request_id] for s in stages]
 
 
@@ -180,6 +181,20 @@ def test_criterion_2_engine_matches_brute_force():
             expected = [c for _, c in brute_force_schedule(stages, policy)]
             got = engine_schedule(stages, policy)
             assert got == expected, f"scenario {scenario}, policy {name}"
+
+
+def test_fair_share_requeue_cases_match_brute_force():
+    """A stage runs alone for three quanta, then one arrival lands on a quantum
+    boundary and one strictly inside a quantum."""
+    stages = [
+        OracleStage(arrival=0, exec_time=450, request_id=0),
+        OracleStage(arrival=300, exec_time=150, request_id=1),  # boundary: 0's third slice ends
+        OracleStage(arrival=350, exec_time=120, request_id=2),  # inside 1's slice (300, 400)
+    ]
+    policy = QueuePolicy(QueueKind.FAIR_SHARE, quantum=100)
+    expected = [c for _, c in brute_force_schedule(stages, policy)]
+    assert expected == [700, 650, 720]
+    assert engine_schedule(stages, policy) == expected
 
 
 # -- criterion 3 -------------------------------------------------------------

@@ -128,6 +128,16 @@ def test_cli_happy_path_writes_artifacts(tmp_path):
     assert (out / "ecdf_slowdown.csv").exists()
 
 
+def test_cli_deep_call_tree_runs(tmp_path):
+    """Call trees 3000 hops deep are built and walked without recursion."""
+    cfg = write_config(tmp_path, {"end_time": "3ms", "depth": {"3000": 1.0}, "microservices": [1, 1]})
+    out = tmp_path / "out"
+    assert cli_main(["--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["client_requests"] > 0
+    assert report["stage_requests"] == 3001 * report["client_requests"]
+
+
 def test_cli_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out = tmp_path / "out"

@@ -2,49 +2,46 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mssim.engine import Engine, Event, EventKind, RngStream, make_streams
+from mssim.engine import Engine, RngStream, make_streams
 from mssim.errors import SchedulingInPast
 
 
-def _collect(engine, end):
+def _collect(engine, end, payloads):
+    """Schedule each (fire_at, payload) to record its payload; run to `end`."""
     seen = []
-    engine.run_until(end, lambda ev: seen.append(ev))
+    for t, payload in payloads:
+        engine.schedule(t, seen.append, payload)
+    engine.run_until(end)
     return seen
 
 
 def test_events_fire_in_time_order():
     eng = Engine()
-    for t in (5, 1, 3):
-        eng.schedule(Event(t, EventKind.REQUEST_ARRIVAL, t))
-    assert [e.payload for e in _collect(eng, 10)] == [1, 3, 5]
+    assert _collect(eng, 10, [(t, t) for t in (5, 1, 3)]) == [1, 3, 5]
 
 
 def test_simultaneous_events_fire_in_insertion_order():
     eng = Engine()
-    eng.schedule(Event(5, EventKind.REQUEST_ARRIVAL, "e1"))
-    eng.schedule(Event(5, EventKind.REQUEST_ARRIVAL, "e2"))
-    assert [e.payload for e in _collect(eng, 10)] == ["e1", "e2"]
+    assert _collect(eng, 10, [(5, "e1"), (5, "e2")]) == ["e1", "e2"]
 
 
 def test_scheduling_in_past_rejected():
     eng = Engine()
-    eng.schedule(Event(3, EventKind.REQUEST_ARRIVAL))
-    eng.run_until(3, lambda ev: None)
+    eng.schedule(3, lambda payload: None)
+    eng.run_until(3)
     with pytest.raises(SchedulingInPast):
-        eng.schedule(Event(2, EventKind.REQUEST_ARRIVAL))
+        eng.schedule(2, lambda payload: None)
 
 
 def test_run_until_empty_queue_returns_end():
     eng = Engine()
-    assert eng.run_until(100, lambda ev: None) == 100
+    assert eng.run_until(100) == 100
     assert eng.now == 100
 
 
 def test_run_until_boundary_is_inclusive():
     eng = Engine()
-    for t in (1, 2, 3):
-        eng.schedule(Event(t, EventKind.REQUEST_ARRIVAL, t))
-    assert [e.payload for e in _collect(eng, 2)] == [1, 2]
+    assert _collect(eng, 2, [(t, t) for t in (1, 2, 3)]) == [1, 2]
     assert eng.pending() == 1
 
 
@@ -52,14 +49,14 @@ def test_reentrant_scheduling_runs_before_later_events():
     eng = Engine()
     order = []
 
-    def dispatch(ev):
-        order.append(ev.payload)
-        if ev.payload == 1:
-            eng.schedule(Event(1, EventKind.REQUEST_ARRIVAL, "mid"))
+    def handler(payload):
+        order.append(payload)
+        if payload == 1:
+            eng.schedule(1, handler, "mid")
 
-    eng.schedule(Event(1, EventKind.REQUEST_ARRIVAL, 1))
-    eng.schedule(Event(2, EventKind.REQUEST_ARRIVAL, 2))
-    eng.run_until(5, dispatch)
+    eng.schedule(1, handler, 1)
+    eng.schedule(2, handler, 2)
+    eng.run_until(5)
     assert order == [1, "mid", 2]
 
 
@@ -67,18 +64,31 @@ def test_clock_never_decreases():
     eng = Engine()
     times = []
     for t in (4, 4, 2, 9, 2):
-        eng.schedule(Event(t, EventKind.REQUEST_ARRIVAL))
-    eng.run_until(10, lambda ev: times.append(eng.now))
+        eng.schedule(t, lambda payload: times.append(eng.now))
+    eng.run_until(10)
     assert times == sorted(times)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=40))
 def test_processing_order_is_fire_at_seq_lexicographic(times):
     eng = Engine()
-    for i, t in enumerate(times):
-        eng.schedule(Event(t, EventKind.REQUEST_ARRIVAL, (t, i)))
-    seen = [ev.payload for ev in _collect(eng, 100)]
+    seen = _collect(eng, 100, [(t, (t, i)) for i, t in enumerate(times)])
     assert seen == sorted(seen)
+
+
+def test_fire_hook_sees_every_event_in_order():
+    eng = Engine()
+    seen, fired = [], []
+    for t in (3, 1, 2):
+        eng.schedule(t, seen.append, t)
+
+    def fire(handler, payload):
+        fired.append(payload)
+        handler(payload)
+
+    eng.run_until(2, fire)
+    eng.drain(fire)
+    assert fired == seen == [1, 2, 3]
 
 
 def test_same_seed_same_stream_identical_sequence():

@@ -146,14 +146,27 @@ def test_work_conservation_and_busy_accounting():
     assert now == 1300
 
 
-def test_load_view_mid_slice():
+def test_backlog_mid_slice():
     inst = instance(QueueKind.FCFS)
+    assert inst.backlog(0) == 0
     enq(inst, stage(1000, rid=0), 0)
     enq(inst, stage(400, rid=1), 0)
-    v = inst.load_view(300)
-    assert v.current_remaining == 700
-    assert v.queued_count == 1 and v.queued_exec_sum == 400
+    assert inst.backlog(300) == 700 + 400
+    assert len(inst.queue) == 1 and inst.queue.exec_sum == 400
     assert inst.busy_time_until(300) == 300
+
+
+def test_backlog_follows_fair_share_requeues():
+    inst = instance(QueueKind.FAIR_SHARE, quantum=500)
+    enq(inst, stage(1200, rid=0), 0)
+    enq(inst, stage(700, rid=1), 0)
+    inst.finish_slice(500)  # rid 0 back to the tail with 700 left, rid 1 runs
+    assert inst.current.stage.request_id == 1
+    assert inst.queue.exec_sum == 700
+    assert inst.backlog(600) == 700 + 600
+    inst.finish_slice(1000)  # rid 1 requeued with 200 left, rid 0 runs
+    assert inst.queue.exec_sum == 200
+    assert inst.backlog(1000) == 200 + 700
 
 
 # --- deadline assignment ------------------------------------------------------

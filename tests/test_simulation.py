@@ -7,6 +7,7 @@ from mssim.config import SimConfig
 from mssim.gateway import LbPolicy
 from mssim.instance import QueueKind, QueuePolicy
 from mssim.metrics import write_requests_csv
+from mssim.model import ClientRequest
 from mssim.simulation import run_simulation
 from mssim.workload import (
     ArrivalModel,
@@ -100,6 +101,17 @@ def test_replay_reproduces_run_byte_for_byte():
     assert replayed.report.to_json() == original.report.to_json()
     assert requests_csv(replayed) == requests_csv(original)
     assert replayed.trace_rows == original.trace_rows
+
+
+def test_replay_of_hand_built_requests():
+    """Requests built without replay_trace carry no stage count; the run derives it."""
+    cfg = small_cfg()
+    original = run_simulation(cfg, collect_trace=True)
+    by_hand = [
+        ClientRequest(r.request_id, r.created_at, r.sla, r.max_depth, r.root_stages)
+        for r in replay_trace(original.trace_rows)
+    ]
+    assert requests_csv(run_simulation(cfg, replay=by_hand)) == requests_csv(original)
 
 
 @pytest.mark.parametrize("lb", list(LbPolicy))

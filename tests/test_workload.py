@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from mssim.workload import (
     TraceRow,
     WorkloadModel,
     build_client_request,
+    ndtri,
     read_trace_csv,
     replay_trace,
     sample_depth,
@@ -250,3 +255,30 @@ def test_trace_csv_malformed_row_reports_line():
     text = "request_id,timestamp,called_ms,exetime,hops_done,called_by\n0,0,1,10,1,\n"
     with pytest.raises(MalformedTrace, match="line 2"):
         read_trace_csv(io.StringIO(text))
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    gen = np.random.Generator(np.random.PCG64(2024))
+    ys = np.concatenate([
+        gen.random(200_000),
+        gen.random(20_000) * 0.14,  # lower tail
+        1.0 - gen.random(20_000) * 0.14,  # upper tail
+        10.0 ** -gen.uniform(1, 300, 20_000),  # far tail, z beyond 8
+        [0.0, 1.0, 5e-324, 1e-300, math.exp(-32), math.exp(-2), 1 - math.exp(-2),
+         0.5, np.nextafter(0.5, 0), np.nextafter(1.0, 0), -0.1, 1.1],
+    ])
+    want = special.ndtri(ys)
+    got = np.array([ndtri(float(y)) for y in ys])
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), ys[~same][:5]
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run(
+        [sys.executable, "-c", "import mssim, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True,
+    )
