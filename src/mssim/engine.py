@@ -11,7 +11,6 @@ import math
 from heapq import heappop, heappush
 from typing import Any, Callable
 
-import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import SchedulingInPast
@@ -103,23 +102,27 @@ class RngStream:
     every platform (PCG64 behind a per-stream SeedSequence spawn key).
     """
 
-    def __init__(self, seed: int, stream_id: str, chunk: int = 4096):
+    def __init__(self, seed: int, stream_id: str, chunk: int = 1024):
         key = _STREAM_IDS[stream_id]
         self.seed = seed
         self.stream_id = stream_id
         self._gen = Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(key,))))
         self._chunk = chunk
-        self._buf = np.empty(0)
+        self._buf: list[float] = []
         self._pos = 0
 
     def uniform(self) -> float:
         """Next value in [0, 1). Buffered; the sequence is chunk-size independent."""
-        if self._pos >= self._buf.shape[0]:
-            self._buf = self._gen.random(self._chunk)
+        if self._pos >= len(self._buf):
+            # one conversion per chunk: indexing a list of Python floats is
+            # several times cheaper than indexing the array and calling float();
+            # a list costs 32 B per draw against the array's 8 B, so a
+            # 1,024-draw chunk takes the memory a 4,096-draw array did
+            self._buf = self._gen.random(self._chunk).tolist()
             self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1
-        return float(v)
+        return v
 
 
 def make_streams(seed: int) -> dict[str, RngStream]:

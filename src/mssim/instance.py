@@ -13,18 +13,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Optional
 
 from .engine import SimTime, round_half_up
 from .errors import ConfigError, WrongTarget
-from .model import (
-    CallNode,
-    ClientRequest,
-    InstanceId,
-    StageRequest,
-    iter_nodes,
-    paths_max_depth,
-)
+from .model import ClientRequest, InstanceId, Stage, iter_nodes, paths_max_depth
 
 
 class QueueKind(Enum):
@@ -49,15 +42,6 @@ class QueuePolicy:
             raise ConfigError("quantum must be > 0")
 
 
-@dataclass(slots=True)
-class QueuedStage:
-    """Queue entry: the stage plus what is needed when it completes."""
-
-    stage: StageRequest
-    children: tuple[CallNode, ...] = ()
-    client: Any = None  # per-run client bookkeeping, opaque to the instance
-
-
 class _FifoQueue(deque):
     """Arrival-order queue; fair-share requeues append at the tail."""
 
@@ -67,14 +51,14 @@ class _FifoQueue(deque):
         super().__init__()
         self.exec_sum: SimTime = 0
 
-    def push(self, item: QueuedStage) -> None:
-        self.append(item)
-        self.exec_sum += item.stage.remaining
+    def push(self, stage: Stage) -> None:
+        self.append(stage)
+        self.exec_sum += stage.remaining
 
-    def take(self) -> QueuedStage:
-        item = self.popleft()
-        self.exec_sum -= item.stage.remaining
-        return item
+    def take(self) -> Stage:
+        stage = self.popleft()
+        self.exec_sum -= stage.remaining
+        return stage
 
 
 class _KeyedQueue(list):
@@ -89,9 +73,8 @@ class _KeyedQueue(list):
         self._seq = 0
         self.exec_sum: SimTime = 0
 
-    def push(self, item: QueuedStage) -> None:
-        st = item.stage
-        tie = (st.arrival_at_instance, st.request_id, self._seq)
+    def push(self, st: Stage) -> None:
+        tie = (st.arrival, st.request_id, self._seq)
         if self._primary is None:
             key = tie
         elif self._primary == "remaining":
@@ -99,13 +82,13 @@ class _KeyedQueue(list):
         else:
             key = (st.deadline, *tie)
         self._seq += 1
-        heapq.heappush(self, (*key, item))
+        heapq.heappush(self, (*key, st))
         self.exec_sum += st.remaining
 
-    def take(self) -> QueuedStage:
-        item = heapq.heappop(self)[-1]
-        self.exec_sum -= item.stage.remaining
-        return item
+    def take(self) -> Stage:
+        stage = heapq.heappop(self)[-1]
+        self.exec_sum -= stage.remaining
+        return stage
 
 
 def _make_queue(policy: QueuePolicy):
@@ -119,7 +102,7 @@ def _make_queue(policy: QueuePolicy):
 class InstanceState:
     """One microservice instance: pending queue, in-flight slice, busy time.
 
-    While a slice runs, `current.stage.remaining` is the stage's remaining
+    While a slice runs, `current.remaining` is the stage's remaining
     exec at the slice start; finish_slice charges the slice to it.
     """
 
@@ -138,7 +121,7 @@ class InstanceState:
         # longest slice; only fair share cuts a stage short
         self.quantum = policy.quantum if policy.kind is QueueKind.FAIR_SHARE else math.inf
         self.queue = _make_queue(policy)
-        self.current: Optional[QueuedStage] = None
+        self.current: Optional[Stage] = None
         self.slice_start: SimTime = 0
         self.slice_end: SimTime = 0
         self.busy_accum: SimTime = 0
@@ -157,47 +140,42 @@ class InstanceState:
         current = self.current
         if current is None:
             return self.queue.exec_sum
-        return self.queue.exec_sum + current.stage.remaining - (now - self.slice_start)
+        return self.queue.exec_sum + current.remaining - (now - self.slice_start)
 
     # the benchmark's per-layer tracer (bench/tracer.py) wraps this name
     load_view = backlog
 
     # -- queue operations ----------------------------------------------------
 
-    def enqueue(self, item: QueuedStage, now: SimTime) -> Optional[SimTime]:
+    def enqueue(self, stage: Stage, now: SimTime) -> Optional[SimTime]:
         """Add a stage; if idle, execution begins immediately.
 
         Returns the slice-end time when a slice was started, else None.
         """
-        if item.stage.target != self.id.ms:
-            raise WrongTarget(
-                f"stage targets ms {item.stage.target}, instance is {self.id}"
-            )
+        if stage.target != self.id.ms:
+            raise WrongTarget(f"stage targets ms {stage.target}, instance is {self.id}")
         if self.current is None:
-            return self._start(item, now)
-        self.queue.push(item)
+            return self._start(stage, now)
+        self.queue.push(stage)
         return None
 
-    def _start(self, item: QueuedStage, now: SimTime) -> SimTime:
-        """Run a slice of `item` from `now`; returns its end time."""
-        left = item.stage.remaining
-        self.current = item
+    def _start(self, stage: Stage, now: SimTime) -> SimTime:
+        """Run a slice of `stage` from `now`; returns its end time."""
+        left = stage.remaining
+        self.current = stage
         self.slice_start = now
         self.slice_end = now + (left if left <= self.quantum else self.quantum)
         return self.slice_end
 
-    def finish_slice(
-        self, now: SimTime
-    ) -> tuple[Optional[QueuedStage], Optional[SimTime]]:
+    def finish_slice(self, now: SimTime) -> tuple[Optional[Stage], Optional[SimTime]]:
         """End the running slice at `now`.
 
-        Returns (completed item or None if requeued, next slice end or None).
+        Returns (completed stage or None if requeued, next slice end or None).
         """
-        item = self.current
-        assert item is not None and now == self.slice_end
+        stage = self.current
+        assert stage is not None and now == self.slice_end
         ran = now - self.slice_start
         self.busy_accum += ran
-        stage = item.stage
         left = stage.remaining - ran
         stage.remaining = left
         queue = self.queue
@@ -205,54 +183,51 @@ class InstanceState:
             # fair share: back to the tail and run the head; alone, the stage
             # runs on without touching the queue
             if queue:
-                queue.append(item)
-                item = queue.popleft()
-                queue.exec_sum += left - item.stage.remaining
-                self.current = item
-                left = item.stage.remaining
+                queue.append(stage)
+                stage = queue.popleft()
+                queue.exec_sum += left - stage.remaining
+                self.current = stage
+                left = stage.remaining
             self.slice_start = now
             self.slice_end = end = now + (left if left <= self.quantum else self.quantum)
             return None, end
         if queue:
-            return item, self._start(queue.take(), now)
+            return stage, self._start(queue.take(), now)
         self.current = None
-        return item, None
+        return stage, None
 
 
 # --- early-deadline slack division ------------------------------------------
 
 
-def assign_deadlines_eds(req: ClientRequest) -> None:
-    """Equal division of slack across the request's own stage levels.
+def assign_deadlines_eds(req: ClientRequest, sla: SimTime) -> None:
+    """Equal division of the `sla` budget across the request's own stage levels.
 
     slack = sla / (own max depth + 1); a stage at depth k gets
     deadline = created_at + (k + 1) * slack. A depth-0 request therefore
     spreads the full SLA over its single stage. Parallel trees divide by
     the tree's maximum depth, not each inner path's depth.
     """
-    if req.sla <= 0:
+    if sla <= 0:
         raise ConfigError("sla must be > 0 to assign deadlines")
     levels = paths_max_depth(req) + 1
-    for node in iter_nodes(req):
-        k = node.stage.depth
-        node.stage.deadline = req.created_at + round_half_up(
-            (k + 1) * req.sla / levels
-        )
+    for stage in iter_nodes(req):
+        stage.deadline = req.created_at + round_half_up((stage.depth + 1) * sla / levels)
 
 
-def assign_deadlines_exds(req: ClientRequest) -> None:
-    """Execution-time-proportional division of slack.
+def assign_deadlines_exds(req: ClientRequest, sla: SimTime) -> None:
+    """Execution-time-proportional division of the `sla` budget.
 
     Per level, the slack share is proportional to that level's execution
     time (the maximum across siblings in parallel settings); deadlines are
     the cumulative slack from created_at.
     """
-    if req.sla <= 0:
+    if sla <= 0:
         raise ConfigError("sla must be > 0 to assign deadlines")
     level_exec: dict[int, SimTime] = {}
-    for node in iter_nodes(req):
-        d = node.stage.depth
-        level_exec[d] = max(level_exec.get(d, 0), node.stage.exec_time)
+    for stage in iter_nodes(req):
+        d = stage.depth
+        level_exec[d] = max(level_exec.get(d, 0), stage.exec_time)
     total = sum(level_exec.values())
     if total <= 0:
         raise ConfigError("total execution time must be > 0 to assign deadlines")
@@ -261,13 +236,11 @@ def assign_deadlines_exds(req: ClientRequest) -> None:
     for d in sorted(level_exec):
         acc += level_exec[d]
         prefix[d] = acc
-    for node in iter_nodes(req):
-        k = node.stage.depth
-        node.stage.deadline = req.created_at + round_half_up(
-            req.sla * prefix[k] / total
-        )
+    for stage in iter_nodes(req):
+        stage.deadline = req.created_at + round_half_up(sla * prefix[stage.depth] / total)
 
 
-def assign_deadlines(req: ClientRequest, kind: QueueKind) -> None:
-    """Deadlines for an EDS or EXDS queue policy."""
-    {QueueKind.EDS: assign_deadlines_eds, QueueKind.EXDS: assign_deadlines_exds}[kind](req)
+def assign_deadlines(req: ClientRequest, kind: QueueKind, sla: SimTime) -> None:
+    """Deadlines for an EDS or EXDS queue policy from an SLA budget of `sla`."""
+    assign = {QueueKind.EDS: assign_deadlines_eds, QueueKind.EXDS: assign_deadlines_exds}[kind]
+    assign(req, sla)

@@ -1,9 +1,16 @@
-"""Domain types for microservices, client requests, and stage requests."""
+"""Domain types: microservice instances, client requests and their stages.
+
+A client request is a tree of `Stage`s, one per microservice invocation.
+The same object is built by the workload, queued and run by one instance,
+and carries its run state (arrival, remaining exec, deadline, owning
+request) through the simulation, so dispatching a stage allocates nothing
+but an optional trace row.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .engine import SimTime
 from .errors import InvalidRequest
@@ -16,12 +23,16 @@ class InstanceId(NamedTuple):
     slot: int  # 0-based within the microservice
 
 
-@dataclass(slots=True)
-class StageRequest:
-    """One microservice invocation within a client request.
+@dataclass(slots=True, eq=False)
+class Stage:
+    """One microservice invocation: a node of a client request's call tree.
 
-    `remaining` starts at exec_time and is decremented by fair-share slices.
-    `deadline` is set only under the early-deadline policies.
+    The tree fields (up to `children`) are fixed when the request is built.
+    The rest is run state that the simulation sets when it dispatches the
+    stage: `arrival` at its instance, `remaining` exec (starting at
+    exec_time, decremented by fair-share slices), the owning `client`
+    (cleared again when the stage completes), and `deadline`, only under
+    the early-deadline policies.
     """
 
     request_id: int
@@ -29,19 +40,12 @@ class StageRequest:
     exec_time: SimTime  # microseconds, > 0
     depth: int  # hops done; 0 for gateway-invoked stages
     called_by: Optional[MicroserviceId] = None
-    arrival_at_instance: Optional[SimTime] = None
+    # stages this one calls when it completes; builders share () among leaves
+    children: Sequence["Stage"] = ()
+    arrival: Optional[SimTime] = None
     deadline: Optional[SimTime] = None
-    remaining: SimTime = -1
-
-    def __post_init__(self) -> None:
-        if self.remaining < 0:
-            self.remaining = self.exec_time
-
-
-@dataclass(slots=True)
-class CallNode:
-    stage: StageRequest
-    children: list["CallNode"] = field(default_factory=list)
+    remaining: SimTime = 0
+    client: Optional["ClientRequest"] = field(default=None, repr=False)
 
 
 @dataclass(slots=True)
@@ -50,22 +54,23 @@ class ClientRequest:
 
     request_id: int
     created_at: SimTime
-    sla: SimTime  # total deadline budget
+    sla: SimTime  # total deadline budget; 0 takes the run's configured SLA
     max_depth: int
-    root_stages: list[CallNode] = field(default_factory=list)
+    root_stages: list[Stage] = field(default_factory=list)
     # stage_count and critical_path_exec, counted by build_client_request and
     # replay_trace while they build the tree; 0 when the tree was built by hand
     stages: int = 0
     crit_exec: SimTime = 0
+    pending: int = 0  # stages not yet completed, set when the request arrives
 
 
-def iter_nodes(req: ClientRequest) -> Iterator[CallNode]:
-    """Depth-first preorder over all CallNodes."""
+def iter_nodes(req: ClientRequest) -> Iterator[Stage]:
+    """Depth-first preorder over all stages."""
     stack = list(reversed(req.root_stages))
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+        stage = stack.pop()
+        yield stage
+        stack.extend(reversed(stage.children))
 
 
 def stage_count(req: ClientRequest) -> int:
@@ -73,8 +78,8 @@ def stage_count(req: ClientRequest) -> int:
 
 
 def paths_max_depth(req: ClientRequest) -> int:
-    """Maximum `depth` over all CallNodes; 0 when no microservice calls another."""
-    return max(node.stage.depth for node in iter_nodes(req))
+    """Maximum `depth` over all stages; 0 when no microservice calls another."""
+    return max(stage.depth for stage in iter_nodes(req))
 
 
 def critical_path_exec(req: ClientRequest) -> SimTime:
@@ -82,10 +87,10 @@ def critical_path_exec(req: ClientRequest) -> SimTime:
     best = 0
     stack = [(root, 0) for root in req.root_stages]
     while stack:
-        node, above = stack.pop()
-        path = above + node.stage.exec_time
-        if node.children:
-            stack.extend((child, path) for child in node.children)
+        stage, above = stack.pop()
+        path = above + stage.exec_time
+        if stage.children:
+            stack.extend((child, path) for child in stage.children)
         elif path > best:
             best = path
     return best
@@ -95,12 +100,11 @@ def validate_tree(req: ClientRequest) -> None:
     """Reject trees violating the depth / self-call / caller invariants."""
     if not req.root_stages:
         raise InvalidRequest(f"request {req.request_id}: empty call tree")
-    stack: list[tuple[CallNode, Optional[CallNode]]] = [
+    stack: list[tuple[Stage, Optional[Stage]]] = [
         (root, None) for root in reversed(req.root_stages)
     ]
     while stack:
-        node, parent = stack.pop()
-        st = node.stage
+        st, parent = stack.pop()
         if st.exec_time <= 0:
             raise InvalidRequest(f"request {req.request_id}: exec_time <= 0")
         if parent is None:
@@ -109,15 +113,15 @@ def validate_tree(req: ClientRequest) -> None:
                     f"request {req.request_id}: root stage must have depth 0 and no caller"
                 )
         else:
-            if st.depth != parent.stage.depth + 1:
+            if st.depth != parent.depth + 1:
                 raise InvalidRequest(
                     f"request {req.request_id}: child depth {st.depth} != parent depth + 1"
                 )
-            if st.called_by != parent.stage.target:
+            if st.called_by != parent.target:
                 raise InvalidRequest(
                     f"request {req.request_id}: called_by does not match parent target"
                 )
-            if st.target == parent.stage.target:
+            if st.target == parent.target:
                 raise InvalidRequest(
                     f"request {req.request_id}: microservice {st.target} calls itself"
                 )
@@ -125,4 +129,4 @@ def validate_tree(req: ClientRequest) -> None:
             raise InvalidRequest(
                 f"request {req.request_id}: depth {st.depth} exceeds max_depth {req.max_depth}"
             )
-        stack.extend((child, node) for child in reversed(node.children))
+        stack.extend((child, st) for child in reversed(st.children))

@@ -19,26 +19,16 @@ from .gateway import (
     select_greedy,
     select_least_connection,
 )
-from .instance import InstanceState, QueueKind, QueuedStage, assign_deadlines
+from .instance import InstanceState, QueueKind, assign_deadlines
 from .metrics import MetricsCollector, RequestRecord, SimReport
 from .model import (
-    CallNode,
     ClientRequest,
     InstanceId,
+    Stage,
     critical_path_exec,
     stage_count,
 )
 from .workload import TraceRow, build_client_request, sample_interarrival
-
-
-@dataclass(slots=True)
-class _LiveRequest:
-    """Per-client-request bookkeeping while its stages are in flight."""
-
-    request_id: int
-    created_at: SimTime
-    crit_exec: SimTime
-    pending: int  # stages not yet completed
 
 
 @dataclass
@@ -112,12 +102,14 @@ class Simulation:
             req.stages = stage_count(req)
             req.crit_exec = critical_path_exec(req)
         if self._deadline_kind is not None:
-            if req.sla <= 0:  # replayed trees carry no SLA of their own
-                req.sla = self.cfg.sla
-            assign_deadlines(req, self._deadline_kind)
-        live = _LiveRequest(req.request_id, req.created_at, req.crit_exec, req.stages)
+            # replayed trees carry no SLA of their own; it is not written back,
+            # so the same requests replay alike under another config
+            sla = req.sla if req.sla > 0 else self.cfg.sla
+            assign_deadlines(req, self._deadline_kind, sla)
+        req.pending = req.stages
         for root in req.root_stages:
-            self._dispatch_stage(root, live, now)
+            root.client = req
+            self._dispatch_stage(root, now)
 
     def _select_instance(self, ms: int, now: SimTime) -> InstanceState:
         lb = self.cfg.lb_policy
@@ -127,10 +119,10 @@ class Simulation:
             return select_least_connection(self.registry.instances(ms))
         return select_greedy(self.registry.instances(ms), now)
 
-    def _dispatch_stage(self, node: CallNode, live: _LiveRequest, now: SimTime) -> None:
-        stage = node.stage
+    def _dispatch_stage(self, stage: Stage, now: SimTime) -> None:
         state = self._select_instance(stage.target, now)
-        stage.arrival_at_instance = now  # zero gateway delay
+        stage.arrival = now  # zero gateway delay
+        stage.remaining = stage.exec_time
         if self.collect_trace:
             self.trace_rows.append(
                 TraceRow(
@@ -142,28 +134,28 @@ class Simulation:
                     called_by=stage.called_by,
                 )
             )
-        item = QueuedStage(stage, tuple(node.children), live)
-        slice_end = state.enqueue(item, now)
+        slice_end = state.enqueue(stage, now)
         if slice_end is not None:
             self.engine.schedule(slice_end, self._on_slice_complete, state)
 
     def _on_slice_complete(self, state: InstanceState) -> None:
         now = self.engine.now
-        completed, next_end = state.finish_slice(now)
-        if completed is not None:
-            stage = completed.stage
-            self.collector.record_stage(
-                stage.request_id, stage.arrival_at_instance, now, stage.exec_time
-            )
-            live: _LiveRequest = completed.client
+        stage, next_end = state.finish_slice(now)
+        if stage is not None:
+            self.collector.record_stage(stage.request_id, stage.arrival, now, stage.exec_time)
+            client = stage.client
+            # no stage of a finished request points back at it, so reference
+            # counting frees a sampled tree without the cycle collector
+            stage.client = None
             # forward-only asynchronous communication: children go out now,
             # the instance is already free
-            for child in completed.children:
-                self._dispatch_stage(child, live, now)
-            live.pending -= 1
-            if live.pending == 0:
+            for child in stage.children:
+                child.client = client
+                self._dispatch_stage(child, now)
+            client.pending -= 1
+            if client.pending == 0:
                 self.collector.record_client(
-                    live.request_id, live.created_at, now, live.crit_exec
+                    client.request_id, client.created_at, now, client.crit_exec
                 )
         if next_end is not None:
             self.engine.schedule(next_end, self._on_slice_complete, state)

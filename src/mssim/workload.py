@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .engine import RngStream, SimTime, round_half_up
 from .errors import ConfigError, MalformedTrace, ValidationError
-from .model import CallNode, ClientRequest, StageRequest
+from .model import ClientRequest, Stage
 
 _PROB_TOL = 1e-9
 
@@ -339,34 +339,26 @@ def build_client_request(
     exec_stream = streams["exec"]
     comm_stream = streams["communication"]
     comm = wl.communication
-    root_stages: list[CallNode] = []
+    root_stages: list[Stage] = []
     stages = crit_exec = 0
     # depth-first preorder, the order in which the streams are drawn; an
-    # entry is (target, depth, caller, list to append the node to, exec above)
+    # entry is (target, depth, caller, list to append the stage to, exec above)
     stack = [(t, 0, None, root_stages, 0) for t in reversed(roots)]
     while stack:
         target, d, called_by, siblings, above = stack.pop()
         exec_time = sample_exec_time(wl.exec, exec_stream)
-        node = CallNode(
-            stage=StageRequest(
-                request_id=request_id,
-                target=target,
-                exec_time=exec_time,
-                depth=d,
-                called_by=called_by,
-            )
-        )
-        siblings.append(node)
         stages += 1
         path = above + exec_time
+        children: Sequence[Stage] = ()  # shared by every leaf
         if d < depth:
-            children = _sample_distinct(
+            children = []
+            picks = _sample_distinct(
                 comm.comm_probabilities, comm.fanout, comm_stream, exclude=target
             )
-            for c in reversed(children):
-                stack.append((c, d + 1, target, node.children, path))
+            stack.extend((c, d + 1, target, children, path) for c in reversed(picks))
         elif path > crit_exec:  # every path reaches the sampled depth
             crit_exec = path
+        siblings.append(Stage(request_id, target, exec_time, d, called_by, children))
     return ClientRequest(
         request_id=request_id,
         created_at=now,
@@ -420,22 +412,15 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
             by_request[request_id], key=lambda r: (r.hops_done, r.timestamp)
         )
         created_at = min(r.timestamp for r in req_rows)
-        nodes_by_depth: dict[int, list[CallNode]] = {}
-        roots: list[CallNode] = []
-        # exec summed along the path from the root, per node (rows come parents first)
+        stages_by_depth: dict[int, list[Stage]] = {}
+        roots: list[Stage] = []
+        # exec summed along the path from the root, per stage (rows come parents first)
         path_exec: dict[int, SimTime] = {}
         for row in req_rows:
-            stage = StageRequest(
-                request_id=request_id,
-                target=row.called_ms,
-                exec_time=row.exetime,
-                depth=row.hops_done,
-                called_by=row.called_by,
-            )
-            node = CallNode(stage=stage)
+            stage = Stage(request_id, row.called_ms, row.exetime, row.hops_done, row.called_by)
             if row.hops_done == 0:
-                roots.append(node)
-                path_exec[id(node)] = row.exetime
+                roots.append(stage)
+                path_exec[id(stage)] = row.exetime
             else:
                 if row.called_by == row.called_ms:
                     raise MalformedTrace(
@@ -443,8 +428,8 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
                     )
                 parents = [
                     p
-                    for p in nodes_by_depth.get(row.hops_done - 1, [])
-                    if p.stage.target == row.called_by
+                    for p in stages_by_depth.get(row.hops_done - 1, [])
+                    if p.target == row.called_by
                 ]
                 if not parents:
                     raise MalformedTrace(
@@ -456,9 +441,13 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
                         f"request {request_id}: ambiguous parent for hops "
                         f"{row.hops_done} called_by {row.called_by}"
                     )
-                parents[0].children.append(node)
-                path_exec[id(node)] = path_exec[id(parents[0])] + row.exetime
-            nodes_by_depth.setdefault(row.hops_done, []).append(node)
+                parent = parents[0]
+                if parent.children:
+                    parent.children.append(stage)
+                else:  # leaves share the empty tuple until their first child
+                    parent.children = [stage]
+                path_exec[id(stage)] = path_exec[id(parent)] + row.exetime
+            stages_by_depth.setdefault(row.hops_done, []).append(stage)
         if not roots:
             raise MalformedTrace(f"request {request_id}: no depth-0 row")
         max_depth = max(r.hops_done for r in req_rows)

@@ -24,11 +24,10 @@ from mssim.instance import (
     InstanceState,
     QueueKind,
     QueuePolicy,
-    QueuedStage,
     assign_deadlines,
 )
 from mssim.metrics import ecdf, ks_distance, percentile, write_requests_csv
-from mssim.model import CallNode, ClientRequest, InstanceId, StageRequest, iter_nodes
+from mssim.model import ClientRequest, InstanceId, Stage, iter_nodes
 from mssim.oracle import Mg1Params, OracleStage, brute_force_schedule, mg1_fcfs_mean_wait
 from mssim.simulation import run_simulation
 from mssim.workload import (
@@ -134,29 +133,29 @@ def engine_schedule(stages, policy):
     state = InstanceState(InstanceId(0, 0), policy)
     completion = {}
 
-    def on_arrival(item):
-        nxt = state.enqueue(item, eng.now)
+    def on_arrival(stage):
+        nxt = state.enqueue(stage, eng.now)
         if nxt is not None:
             eng.schedule(nxt, on_slice_complete)
 
     def on_slice_complete(_):
         done, nxt = state.finish_slice(eng.now)
         if done is not None:
-            completion[done.stage.request_id] = eng.now
+            completion[done.request_id] = eng.now
         if nxt is not None:
             eng.schedule(nxt, on_slice_complete)
 
     for s in sorted(stages, key=lambda s: (s.arrival, s.request_id)):
-        stage = StageRequest(
+        stage = Stage(
             request_id=s.request_id,
             target=0,
             exec_time=s.exec_time,
             depth=0,
-            arrival_at_instance=s.arrival,
+            arrival=s.arrival,
             deadline=s.deadline,
+            remaining=s.exec_time,
         )
-        item = QueuedStage(stage=stage, children=(), client=None)
-        eng.schedule(s.arrival, on_arrival, item)
+        eng.schedule(s.arrival, on_arrival, stage)
     eng.drain()
     return [completion[s.request_id] for s in stages]
 
@@ -231,11 +230,11 @@ def chain_request(created_at, sla, execs):
     nodes = []
     for depth, exe in enumerate(execs):
         called_by = None if depth == 0 else depth - 1
-        nodes.append(CallNode(StageRequest(
+        nodes.append(Stage(
             request_id=1, target=depth, exec_time=exe, depth=depth, called_by=called_by,
-        )))
+        ))
     for parent, child in zip(nodes, nodes[1:]):
-        parent.children.append(child)
+        parent.children = [child]
     return ClientRequest(
         request_id=1, created_at=created_at, sla=sla,
         max_depth=len(execs) - 1, root_stages=[nodes[0]],
@@ -244,18 +243,18 @@ def chain_request(created_at, sla, execs):
 
 def test_criterion_4_equal_slack_deadlines():
     req = chain_request(created_at=6000, sla=3000, execs=(100, 100, 100))
-    assign_deadlines(req, QueueKind.EDS)
-    assert [n.stage.deadline for n in iter_nodes(req)] == [7000, 8000, 9000]
+    assign_deadlines(req, QueueKind.EDS, req.sla)
+    assert [n.deadline for n in iter_nodes(req)] == [7000, 8000, 9000]
 
     flat = chain_request(created_at=6000, sla=3000, execs=(100,))
-    assign_deadlines(flat, QueueKind.EDS)
-    assert flat.root_stages[0].stage.deadline == 9000
+    assign_deadlines(flat, QueueKind.EDS, flat.sla)
+    assert flat.root_stages[0].deadline == 9000
 
 
 def test_criterion_5_exec_proportional_deadlines():
     req = chain_request(created_at=6000, sla=3000, execs=(500, 1000, 500))
-    assign_deadlines(req, QueueKind.EXDS)
-    assert [n.stage.deadline for n in iter_nodes(req)] == [6750, 8250, 9000]
+    assign_deadlines(req, QueueKind.EXDS, req.sla)
+    assert [n.deadline for n in iter_nodes(req)] == [6750, 8250, 9000]
 
 
 # -- criteria 6 and 7 --------------------------------------------------------

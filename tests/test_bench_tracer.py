@@ -1,0 +1,51 @@
+"""The benchmark's per-layer tracer (`bench/run.py --trace 1`) still installs.
+
+`bench/tracer.py` wraps mssim's functions and methods by name from outside
+the package, so renaming or removing one of them breaks the traced run at
+start-up. The run happens in a subprocess, which keeps the tracer's
+monkeypatching out of the test process.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+bench, src, config, out = sys.argv[1:]
+sys.path[:0] = [bench, src]
+import tracer
+spans = tracer.Tracer()
+tracer.install(spans)
+from mssim.cli import cli_main
+rc = cli_main(["--config", config, "--out", out])
+print(json.dumps({"rc": rc, "counts": spans.by_name()[1]}))
+"""
+
+
+def test_tracer_installs_and_records_every_layer(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "end_time": "50ms",
+        "seed": 1,
+        "arrival": {"mean_interarrival": 1066},
+        "exec": {"mu": 4.912514296647084, "sigma": 2.5, "unit": "us"},
+        "depth": {"0": 0.5, "2": 0.5},
+        "microservices": [4, 2, 1, 1],
+        "queue_policy": {"kind": "fair_share", "quantum": 500},
+        "lb_policy": "greedy",
+        "drain": True,
+    }), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src"),
+         str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    for span in ("engine.loop", "simulation.event", "instance.finish_slice", "gateway.select"):
+        assert result["counts"].get(span, 0) > 0, span

@@ -1,4 +1,5 @@
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,6 +102,16 @@ def test_buffering_does_not_change_the_sequence():
     a = RngStream(9, "exec", chunk=1)
     b = RngStream(9, "exec", chunk=4096)
     assert [a.uniform() for _ in range(500)] == [b.uniform() for _ in range(500)]
+
+
+def test_draws_across_chunks_match_the_generator_as_python_floats():
+    for seed, name, key in ((0, "arrival", 0), (11, "communication", 4)):
+        stream = RngStream(seed, name)
+        n = 2 * stream._chunk + 100  # crosses two chunk boundaries
+        xs = [stream.uniform() for _ in range(n)]
+        ref = Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(key,)))).random(n)
+        assert xs == ref.tolist()
+        assert all(type(x) is float for x in xs)
 
 
 def test_different_streams_are_uncorrelated():

@@ -8,8 +8,8 @@ from mssim.gateway import (
     select_greedy,
     select_least_connection,
 )
-from mssim.instance import InstanceState, QueueKind, QueuedStage, QueuePolicy
-from mssim.model import InstanceId, StageRequest
+from mssim.instance import InstanceState, QueueKind, QueuePolicy
+from mssim.model import InstanceId, Stage
 
 
 def state(slot, running=None, queued=(), ms=0, at=0):
@@ -17,9 +17,10 @@ def state(slot, running=None, queued=(), ms=0, at=0):
     inst = InstanceState(InstanceId(ms, slot), QueuePolicy(QueueKind.FCFS))
     assert running is not None or not queued
     for exec_time in ([running] if running is not None else []) + list(queued):
-        stage = StageRequest(request_id=0, target=ms, exec_time=exec_time, depth=0)
-        stage.arrival_at_instance = at
-        inst.enqueue(QueuedStage(stage=stage), at)
+        stage = Stage(request_id=0, target=ms, exec_time=exec_time, depth=0)
+        stage.arrival = at
+        stage.remaining = exec_time
+        inst.enqueue(stage, at)
     return inst
 
 

@@ -5,21 +5,22 @@ from mssim.instance import (
     InstanceState,
     QueueKind,
     QueuePolicy,
-    QueuedStage,
     assign_deadlines_eds,
     assign_deadlines_exds,
 )
-from mssim.model import CallNode, ClientRequest, InstanceId, StageRequest, iter_nodes
+from mssim.model import ClientRequest, InstanceId, Stage, iter_nodes
 
 
 def stage(exec_time, rid=0, arrival=0, deadline=None, target=0):
-    return StageRequest(
+    """A stage as dispatched: nothing of it has run yet."""
+    return Stage(
         request_id=rid,
         target=target,
         exec_time=exec_time,
         depth=0,
-        arrival_at_instance=arrival,
+        arrival=arrival,
         deadline=deadline,
+        remaining=exec_time,
     )
 
 
@@ -28,8 +29,8 @@ def instance(kind=QueueKind.FCFS, quantum=500):
 
 
 def enq(state, st, now):
-    st.arrival_at_instance = now
-    return state.enqueue(QueuedStage(stage=st), now)
+    st.arrival = now
+    return state.enqueue(st, now)
 
 
 def test_enqueue_to_idle_starts_immediately():
@@ -44,7 +45,7 @@ def test_enqueue_to_busy_queues_without_preemption():
     enq(inst, stage(1000, rid=0), 0)
     assert enq(inst, stage(5, rid=1), 1) is None
     assert len(inst.queue) == 1
-    assert inst.current.stage.request_id == 0
+    assert inst.current.request_id == 0
 
 
 def test_wrong_target_rejected():
@@ -59,7 +60,7 @@ def test_fcfs_picks_earliest_arrival():
     enq(inst, stage(10, rid=1, arrival=1), 1)
     enq(inst, stage(10, rid=2, arrival=2), 2)
     inst.finish_slice(10)
-    assert inst.current.stage.request_id == 1
+    assert inst.current.request_id == 1
 
 
 def test_shortest_first_picks_minimum_remaining():
@@ -69,7 +70,7 @@ def test_shortest_first_picks_minimum_remaining():
     enq(inst, stage(200, rid=2), 0)
     enq(inst, stage(1000, rid=3), 0)
     inst.finish_slice(1)
-    assert inst.current.stage.request_id == 2
+    assert inst.current.request_id == 2
 
 
 def test_early_deadline_picks_earliest_deadline():
@@ -78,7 +79,7 @@ def test_early_deadline_picks_earliest_deadline():
     enq(inst, stage(10, rid=1, deadline=9000), 0)  # arrives first
     enq(inst, stage(10, rid=2, deadline=7000), 0)
     inst.finish_slice(1)
-    assert inst.current.stage.request_id == 2
+    assert inst.current.request_id == 2
 
 
 def test_pick_tie_breaks_by_arrival_then_request_id():
@@ -87,14 +88,14 @@ def test_pick_tie_breaks_by_arrival_then_request_id():
     enq(inst, stage(10, rid=7, arrival=0), 0)
     enq(inst, stage(10, rid=3, arrival=0), 0)
     inst.finish_slice(1)
-    assert inst.current.stage.request_id == 3
+    assert inst.current.request_id == 3
 
 
 def test_run_to_completion_single_slice():
     inst = instance(QueueKind.FCFS)
     end = enq(inst, stage(1000), 0)
     completed, nxt = inst.finish_slice(end)
-    assert completed is not None and completed.stage.remaining == 0
+    assert completed is not None and completed.remaining == 0
     assert nxt is None
     assert inst.busy_accum == 1000
 
@@ -124,9 +125,9 @@ def test_fair_share_requeue_goes_to_tail():
     enq(inst, stage(1200, rid=0), 0)
     enq(inst, stage(300, rid=1), 0)
     _, nxt = inst.finish_slice(500)  # rid 0 requeued behind rid 1
-    assert inst.current.stage.request_id == 1
+    assert inst.current.request_id == 1
     completed, _ = inst.finish_slice(nxt)
-    assert completed.stage.request_id == 1
+    assert completed.request_id == 1
 
 
 def test_work_conservation_and_busy_accounting():
@@ -161,7 +162,7 @@ def test_backlog_follows_fair_share_requeues():
     enq(inst, stage(1200, rid=0), 0)
     enq(inst, stage(700, rid=1), 0)
     inst.finish_slice(500)  # rid 0 back to the tail with 700 left, rid 1 runs
-    assert inst.current.stage.request_id == 1
+    assert inst.current.request_id == 1
     assert inst.queue.exec_sum == 700
     assert inst.backlog(600) == 700 + 600
     inst.finish_slice(1000)  # rid 1 requeued with 200 left, rid 0 runs
@@ -173,14 +174,12 @@ def test_backlog_follows_fair_share_requeues():
 
 
 def chain_request(execs, created_at=0, sla=3000):
-    root = CallNode(stage=StageRequest(request_id=0, target=0, exec_time=execs[0], depth=0))
+    root = Stage(request_id=0, target=0, exec_time=execs[0], depth=0)
     node = root
     for d in range(1, len(execs)):
-        child = CallNode(
-            stage=StageRequest(
-                request_id=0, target=d % 2 + 1, exec_time=execs[d], depth=d,
-                called_by=node.stage.target,
-            )
+        child = Stage(
+            request_id=0, target=d % 2 + 1, exec_time=execs[d], depth=d,
+            called_by=node.target,
         )
         node.children = [child]
         node = child
@@ -191,24 +190,24 @@ def chain_request(execs, created_at=0, sla=3000):
 
 
 def deadlines(req):
-    return [n.stage.deadline for n in iter_nodes(req)]
+    return [n.deadline for n in iter_nodes(req)]
 
 
 def test_eds_depth_two_worked_example():
     req = chain_request([1000, 1000, 1000], created_at=6000, sla=3000)
-    assign_deadlines_eds(req)
+    assign_deadlines_eds(req, req.sla)
     assert deadlines(req) == [7000, 8000, 9000]
 
 
 def test_eds_depth_zero_gets_full_sla():
     req = chain_request([1000], created_at=6000, sla=3000)
-    assign_deadlines_eds(req)
+    assign_deadlines_eds(req, req.sla)
     assert deadlines(req) == [9000]
 
 
 def test_eds_single_stage_at_origin():
     req = chain_request([1000], created_at=0, sla=3000)
-    assign_deadlines_eds(req)
+    assign_deadlines_eds(req, req.sla)
     assert deadlines(req) == [3000]
 
 
@@ -216,21 +215,21 @@ def test_eds_parallel_tree_divides_by_max_depth():
     # one root with a depth-1 child, plus a second root with no children:
     # the shallow root still gets the max-depth division
     deep = chain_request([100, 100])
-    shallow = CallNode(stage=StageRequest(request_id=0, target=2, exec_time=100, depth=0))
+    shallow = Stage(request_id=0, target=2, exec_time=100, depth=0)
     deep.root_stages.append(shallow)
-    assign_deadlines_eds(deep)
-    assert shallow.stage.deadline == deep.created_at + 1500  # sla/2, not full sla
+    assign_deadlines_eds(deep, deep.sla)
+    assert shallow.deadline == deep.created_at + 1500  # sla/2, not full sla
 
 
 def test_eds_requires_positive_sla():
     req = chain_request([100], sla=0)
     with pytest.raises(ConfigError):
-        assign_deadlines_eds(req)
+        assign_deadlines_eds(req, req.sla)
 
 
 def test_exds_proportional_worked_example():
     req = chain_request([500, 1000, 500], created_at=100, sla=3000)
-    assign_deadlines_exds(req)
+    assign_deadlines_exds(req, req.sla)
     assert deadlines(req) == [100 + 750, 100 + 2250, 100 + 3000]
 
 
@@ -238,24 +237,22 @@ def test_exds_equal_execs_collapse_to_eds():
     for execs in ([1000, 1000, 1000], [77, 77]):
         a = chain_request(list(execs), created_at=40, sla=3000)
         b = chain_request(list(execs), created_at=40, sla=3000)
-        assign_deadlines_eds(a)
-        assign_deadlines_exds(b)
+        assign_deadlines_eds(a, a.sla)
+        assign_deadlines_exds(b, b.sla)
         assert deadlines(a) == deadlines(b)
 
 
 def test_exds_single_stage_gets_full_sla():
     req = chain_request([123], created_at=7, sla=3000)
-    assign_deadlines_exds(req)
+    assign_deadlines_exds(req, req.sla)
     assert deadlines(req) == [3007]
 
 
 def test_exds_parallel_uses_level_max_exec():
     req = chain_request([100, 300])
-    sibling = CallNode(
-        stage=StageRequest(request_id=0, target=2, exec_time=100, depth=1, called_by=0)
-    )
+    sibling = Stage(request_id=0, target=2, exec_time=100, depth=1, called_by=0)
     req.root_stages[0].children.append(sibling)
-    assign_deadlines_exds(req)
+    assign_deadlines_exds(req, req.sla)
     # levels: max(100), max(300, 100) -> prefixes 100, 400 of total 400
     ds = deadlines(req)
     assert ds[0] == 750  # 3000 * 100/400

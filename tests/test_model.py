@@ -3,9 +3,8 @@ from hypothesis import given, strategies as st
 
 from mssim.errors import InvalidRequest
 from mssim.model import (
-    CallNode,
     ClientRequest,
-    StageRequest,
+    Stage,
     critical_path_exec,
     iter_nodes,
     paths_max_depth,
@@ -15,7 +14,7 @@ from mssim.model import (
 
 
 def stage(target, exec_time, depth, called_by=None, rid=0):
-    return StageRequest(
+    return Stage(
         request_id=rid, target=target, exec_time=exec_time, depth=depth, called_by=called_by
     )
 
@@ -23,10 +22,10 @@ def stage(target, exec_time, depth, called_by=None, rid=0):
 def chain(execs, targets=None):
     """Sequential chain request: one stage per depth."""
     targets = targets or [i % 2 for i in range(len(execs))]
-    root = CallNode(stage=stage(targets[0], execs[0], 0))
+    root = stage(targets[0], execs[0], 0)
     node = root
     for d in range(1, len(execs)):
-        child = CallNode(stage=stage(targets[d], execs[d], d, called_by=targets[d - 1]))
+        child = stage(targets[d], execs[d], d, called_by=targets[d - 1])
         node.children = [child]
         node = child
     return ClientRequest(
@@ -46,10 +45,10 @@ def test_depth_two_chain_invokes_three_microservices():
 
 
 def test_depth_of_branching_tree():
-    root = CallNode(stage=stage(0, 100, 0))
-    c1 = CallNode(stage=stage(1, 100, 1, called_by=0))
-    c2 = CallNode(stage=stage(2, 100, 1, called_by=0))
-    g = CallNode(stage=stage(0, 100, 2, called_by=1))
+    root = stage(0, 100, 0)
+    c1 = stage(1, 100, 1, called_by=0)
+    c2 = stage(2, 100, 1, called_by=0)
+    g = stage(0, 100, 2, called_by=1)
     c1.children = [g]
     root.children = [c1, c2]
     req = ClientRequest(request_id=0, created_at=0, sla=1, max_depth=2, root_stages=[root])
@@ -65,7 +64,7 @@ def test_critical_path_chain_sums():
 
 
 def test_critical_path_parallel_roots_takes_max():
-    roots = [CallNode(stage=stage(0, 1000, 0)), CallNode(stage=stage(1, 3000, 0))]
+    roots = [stage(0, 1000, 0), stage(1, 3000, 0)]
     req = ClientRequest(request_id=0, created_at=0, sla=1, max_depth=0, root_stages=roots)
     assert critical_path_exec(req) == 3000
 
@@ -82,21 +81,21 @@ def test_validate_rejects_self_call():
 
 def test_validate_rejects_depth_gap():
     req = chain([100, 200])
-    list(iter_nodes(req))[1].stage.depth = 2
+    list(iter_nodes(req))[1].depth = 2
     with pytest.raises(InvalidRequest):
         validate_tree(req)
 
 
 def test_validate_rejects_wrong_caller():
     req = chain([100, 200], targets=[0, 1])
-    list(iter_nodes(req))[1].stage.called_by = 3
+    list(iter_nodes(req))[1].called_by = 3
     with pytest.raises(InvalidRequest):
         validate_tree(req)
 
 
 def test_validate_rejects_root_with_caller():
     req = chain([100])
-    req.root_stages[0].stage.called_by = 2
+    req.root_stages[0].called_by = 2
     with pytest.raises(InvalidRequest):
         validate_tree(req)
 
@@ -116,12 +115,12 @@ def test_validate_rejects_random_corruption(data):
     victim = data.draw(st.sampled_from(nodes[1:]))
     corruption = data.draw(st.sampled_from(["depth", "caller", "self", "exec"]))
     if corruption == "depth":
-        victim.stage.depth += data.draw(st.sampled_from([-1, 1, 5]))
+        victim.depth += data.draw(st.sampled_from([-1, 1, 5]))
     elif corruption == "caller":
-        victim.stage.called_by = None
+        victim.called_by = None
     elif corruption == "self":
-        victim.stage.target = victim.stage.called_by
+        victim.target = victim.called_by
     else:
-        victim.stage.exec_time = 0
+        victim.exec_time = 0
     with pytest.raises(InvalidRequest):
         validate_tree(req)

@@ -114,6 +114,32 @@ def test_replay_of_hand_built_requests():
     assert requests_csv(run_simulation(cfg, replay=by_hand)) == requests_csv(original)
 
 
+@pytest.mark.parametrize("kind", [QueueKind.FCFS, QueueKind.FAIR_SHARE])
+def test_one_request_list_replays_alike_twice(kind):
+    cfg = small_cfg(queue_policy=QueuePolicy(kind, quantum=500))
+    requests = replay_trace(run_simulation(cfg, collect_trace=True).trace_rows)
+    first = run_simulation(cfg, replay=requests)
+    second = run_simulation(cfg, replay=requests)
+    assert second.report.to_json() == first.report.to_json()
+    assert requests_csv(second) == requests_csv(first)
+
+
+def test_replay_does_not_keep_the_sla_of_an_earlier_run():
+    # loaded enough that EDS order, and so the output, depends on the SLA
+    load = dict(
+        arrival=ArrivalModel(mean_interarrival=1000), queue_policy=QueuePolicy(QueueKind.EDS)
+    )
+    rows = run_simulation(small_cfg(**load), collect_trace=True).trace_rows
+    requests = replay_trace(rows)
+    first = run_simulation(small_cfg(sla=4_000_000, **load), replay=requests)
+    assert requests[0].sla == 0
+    again = run_simulation(small_cfg(sla=5_000, **load), replay=requests)
+    fresh = run_simulation(small_cfg(sla=5_000, **load), replay=replay_trace(rows))
+    assert requests_csv(fresh) != requests_csv(first)
+    assert again.report.to_json() == fresh.report.to_json()
+    assert requests_csv(again) == requests_csv(fresh)
+
+
 @pytest.mark.parametrize("lb", list(LbPolicy))
 def test_every_load_balancer_runs(lb):
     result = run_simulation(small_cfg(lb_policy=lb, end_time=500_000))

@@ -133,7 +133,7 @@ def test_depth_zero_request_single_stage():
     req = build_client_request(0, 100, wl(depth=((0, 1.0),)), streams)
     validate_tree(req)
     assert stage_count(req) == 1
-    assert req.root_stages[0].stage.called_by is None
+    assert req.root_stages[0].called_by is None
 
 
 def test_depth_two_fanout_one_builds_sequential_chain():
@@ -144,8 +144,8 @@ def test_depth_two_fanout_one_builds_sequential_chain():
     node = req.root_stages[0]
     while node.children:
         child = node.children[0]
-        assert child.stage.called_by == node.stage.target
-        assert child.stage.depth == node.stage.depth + 1
+        assert child.called_by == node.target
+        assert child.depth == node.depth + 1
         node = child
 
 
@@ -157,7 +157,7 @@ def test_communication_exclusion_renormalizes():
         req = build_client_request(0, 0, wl(n_ms=2, depth=((2, 1.0),)), streams)
         for node in iter_nodes(req):
             for child in node.children:
-                assert child.stage.target != node.stage.target
+                assert child.target != node.target
 
 
 def test_nan_weights_and_probabilities_rejected():
