@@ -20,6 +20,7 @@ from .workload import (
     DepthModel,
     ExecModel,
     ExecUnit,
+    MAX_TIME,
     RoutingModel,
     WorkloadModel,
 )
@@ -84,6 +85,8 @@ class SimConfig:
         for name in ("end_time", "utilization_interval", "imbalance_interval"):
             if getattr(self, name) <= 0:
                 raise ValidationError(name, "must be > 0")
+        if self.end_time > MAX_TIME:
+            raise ValidationError("end_time", f"must be <= {MAX_TIME} us")
         if not self.microservices or min(self.microservices) < 1:
             raise ValidationError("microservices", "must list instance counts >= 1")
         self.workload().validate(len(self.microservices))

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .engine import SimTime, round_half_up
 from .errors import ConfigError, WrongTarget
-from .model import ClientRequest, InstanceId, Stage, iter_nodes, paths_max_depth
+from .model import ClientRequest, InstanceId, Stage
 
 
 class QueueKind(Enum):
@@ -200,47 +200,34 @@ class InstanceState:
 # --- early-deadline slack division ------------------------------------------
 
 
-def assign_deadlines_eds(req: ClientRequest, sla: SimTime) -> None:
-    """Equal division of the `sla` budget across the request's own stage levels.
+def assign_deadlines(req: ClientRequest, kind: QueueKind, sla: SimTime) -> None:
+    """Divide the `sla` budget over the request's levels for an EDS or EXDS queue.
 
-    slack = sla / (own max depth + 1); a stage at depth k gets
-    deadline = created_at + (k + 1) * slack. A depth-0 request therefore
-    spreads the full SLA over its single stage. Parallel trees divide by
-    the tree's maximum depth, not each inner path's depth.
+    Level k holds the stages at depth k, the k-th generation of the tree,
+    and has a weight: 1 under EDS, the largest exec_time at that level under
+    EXDS (siblings run in parallel). A stage at depth k gets deadline =
+    created_at + sla * (weights of levels 0..k) / (all weights), so under
+    EDS level k gets (k + 1) / levels of the SLA, and the deepest level
+    always gets all of it. Every path is divided by the tree's deepest
+    level, not by its own depth.
     """
     if sla <= 0:
         raise ConfigError("sla must be > 0 to assign deadlines")
-    levels = paths_max_depth(req) + 1
-    for stage in iter_nodes(req):
-        stage.deadline = req.created_at + round_half_up((stage.depth + 1) * sla / levels)
-
-
-def assign_deadlines_exds(req: ClientRequest, sla: SimTime) -> None:
-    """Execution-time-proportional division of the `sla` budget.
-
-    Per level, the slack share is proportional to that level's execution
-    time (the maximum across siblings in parallel settings); deadlines are
-    the cumulative slack from created_at.
-    """
-    if sla <= 0:
-        raise ConfigError("sla must be > 0 to assign deadlines")
-    level_exec: dict[int, SimTime] = {}
-    for stage in iter_nodes(req):
-        d = stage.depth
-        level_exec[d] = max(level_exec.get(d, 0), stage.exec_time)
-    total = sum(level_exec.values())
+    levels = []
+    level = list(req.root_stages)
+    while level:
+        levels.append(level)
+        level = [child for stage in level for child in stage.children]
+    if kind is QueueKind.EXDS:
+        weights = [max(stage.exec_time for stage in level) for level in levels]
+    else:
+        weights = [1] * len(levels)
+    total = sum(weights)
     if total <= 0:
         raise ConfigError("total execution time must be > 0 to assign deadlines")
-    prefix: dict[int, SimTime] = {}
     acc = 0
-    for d in sorted(level_exec):
-        acc += level_exec[d]
-        prefix[d] = acc
-    for stage in iter_nodes(req):
-        stage.deadline = req.created_at + round_half_up(sla * prefix[stage.depth] / total)
-
-
-def assign_deadlines(req: ClientRequest, kind: QueueKind, sla: SimTime) -> None:
-    """Deadlines for an EDS or EXDS queue policy from an SLA budget of `sla`."""
-    assign = {QueueKind.EDS: assign_deadlines_eds, QueueKind.EXDS: assign_deadlines_exds}[kind]
-    assign(req, sla)
+    for level, weight in zip(levels, weights):
+        acc += weight
+        deadline = req.created_at + round_half_up(sla * acc / total)
+        for stage in level:
+            stage.deadline = deadline

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -15,41 +15,43 @@ from .errors import EmptyInput, InvalidMetric
 from .model import InstanceId, MicroserviceId
 
 
-@dataclass(slots=True)
-class RequestRecord:
-    request_id: int
-    scope: str  # "client" or "stage"
-    created_at: SimTime  # creation (client) or arrival at instance (stage)
-    completed_at: SimTime
-    total: SimTime  # completed_at - created_at
-    exec: SimTime  # critical-path exec (client) or stage exec (stage)
-    wait: SimTime  # total - exec
-    slowdown: float
-
-
-def slowdown(total: SimTime, exec_time: SimTime) -> float:
-    """Total time in system divided by pure execution time; 1.0 means no queueing."""
+def _check_times(total: SimTime, exec_time: SimTime) -> None:
     if exec_time <= 0:
         raise InvalidMetric("execution time must be > 0")
     if total < exec_time:
         raise InvalidMetric(f"total {total} < exec {exec_time}")
+
+
+def slowdown(total: SimTime, exec_time: SimTime) -> float:
+    """Total time in system divided by pure execution time; 1.0 means no queueing."""
+    _check_times(total, exec_time)
     return total / exec_time
 
 
-def make_record(
-    request_id: int, scope: str, created_at: SimTime, completed_at: SimTime, exec_time: SimTime
-) -> RequestRecord:
-    total = completed_at - created_at
-    return RequestRecord(
-        request_id=request_id,
-        scope=scope,
-        created_at=created_at,
-        completed_at=completed_at,
-        total=total,
-        exec=exec_time,
-        wait=total - exec_time,
-        slowdown=slowdown(total, exec_time),
-    )
+@dataclass(slots=True)
+class RequestRecord:
+    """What was measured for one completed client request or stage.
+
+    total, wait and slowdown are derived from these fields when read.
+    """
+
+    request_id: int
+    scope: str  # "client" or "stage"
+    created_at: SimTime  # creation (client) or arrival at instance (stage)
+    completed_at: SimTime
+    exec: SimTime  # critical-path exec (client) or stage exec (stage)
+
+    @property
+    def total(self) -> SimTime:
+        return self.completed_at - self.created_at
+
+    @property
+    def wait(self) -> SimTime:
+        return self.completed_at - self.created_at - self.exec
+
+    @property
+    def slowdown(self) -> float:
+        return slowdown(self.completed_at - self.created_at, self.exec)
 
 
 def utilization(busy_in_window: Sequence[SimTime], window_us: SimTime) -> float:
@@ -142,24 +144,32 @@ class MetricsCollector:
 
     def __init__(self, instance_ids: Sequence[InstanceId]):
         self.instance_ids = list(instance_ids)
+        # microservice -> rows of its instances in instance_ids, by microservice
+        self._rows_by_ms: dict[MicroserviceId, list[int]] = {}
+        for row, inst in sorted(enumerate(self.instance_ids), key=lambda e: e[1].ms):
+            self._rows_by_ms.setdefault(inst.ms, []).append(row)
         self.client_records: list[RequestRecord] = []
         self.stage_records: list[RequestRecord] = []
         # snapshot series: (time, cumulative busy per instance)
         self.util_snapshots: list[tuple[SimTime, list[SimTime]]] = []
         self.imbalance_snapshots: list[tuple[SimTime, list[SimTime]]] = []
 
+    # both recorders check the times, so a bad run fails where it goes wrong
+
     def record_client(
         self, request_id: int, created_at: SimTime, completed_at: SimTime, exec_time: SimTime
     ) -> None:
+        _check_times(completed_at - created_at, exec_time)
         self.client_records.append(
-            make_record(request_id, "client", created_at, completed_at, exec_time)
+            RequestRecord(request_id, "client", created_at, completed_at, exec_time)
         )
 
     def record_stage(
         self, request_id: int, arrived_at: SimTime, completed_at: SimTime, exec_time: SimTime
     ) -> None:
+        _check_times(completed_at - arrived_at, exec_time)
         self.stage_records.append(
-            make_record(request_id, "stage", arrived_at, completed_at, exec_time)
+            RequestRecord(request_id, "stage", arrived_at, completed_at, exec_time)
         )
 
     def snapshot(self, kind: str, at: SimTime, busy_cum: list[SimTime]) -> None:
@@ -168,16 +178,14 @@ class MetricsCollector:
 
     # -- finalization --------------------------------------------------------
 
-    def _window_utils(
-        self, snapshots: list[tuple[SimTime, list[SimTime]]]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _window_utils(self, snapshots: list[tuple[SimTime, list[SimTime]]]) -> np.ndarray:
         """Per-instance utilization per window, from cumulative busy snapshots.
 
-        Returns (utils with shape (instances, windows), window lengths).
+        The result has shape (instances, windows).
         """
         n = len(self.instance_ids)
         if not snapshots:
-            return np.zeros((n, 0)), np.zeros(0)
+            return np.zeros((n, 0))
         times = np.array([0] + [t for t, _ in snapshots], dtype=float)
         busy = np.vstack(
             [np.zeros(n)] + [np.asarray(b, dtype=float) for _, b in snapshots]
@@ -185,31 +193,28 @@ class MetricsCollector:
         lengths = np.diff(times)
         deltas = np.diff(busy, axis=0).T  # (instances, windows)
         keep = lengths > 0
-        return deltas[:, keep] / lengths[keep], lengths[keep]
+        return deltas[:, keep] / lengths[keep]
 
     def utilization_by_ms(self) -> dict[MicroserviceId, float]:
         """Mean over sampling windows of each microservice's utilization."""
-        utils, _ = self._window_utils(self.util_snapshots)
+        utils = self._window_utils(self.util_snapshots)
         if utils.shape[1] == 0:
             return {}
-        out: dict[MicroserviceId, float] = {}
-        for ms in sorted({i.ms for i in self.instance_ids}):
-            rows = [k for k, inst in enumerate(self.instance_ids) if inst.ms == ms]
-            out[ms] = float(utils[rows].sum(axis=0).mean() / len(rows))
-        return out
+        return {
+            ms: float(utils[rows].sum(axis=0).mean() / len(rows))
+            for ms, rows in self._rows_by_ms.items()
+        }
 
     def imbalance_by_ms(self) -> dict[MicroserviceId, float]:
         """Imbalance for every microservice with at least two instances."""
-        utils, _ = self._window_utils(self.imbalance_snapshots)
+        utils = self._window_utils(self.imbalance_snapshots)
         if utils.shape[1] == 0:
             return {}
-        out: dict[MicroserviceId, float] = {}
-        for ms in sorted({i.ms for i in self.instance_ids}):
-            rows = [k for k, inst in enumerate(self.instance_ids) if inst.ms == ms]
-            if len(rows) < 2:
-                continue
-            out[ms] = imbalance(utils[rows])
-        return out
+        return {
+            ms: imbalance(utils[rows])
+            for ms, rows in self._rows_by_ms.items()
+            if len(rows) >= 2
+        }
 
     def finalize_report(
         self,
@@ -222,7 +227,8 @@ class MetricsCollector:
         def summary(records: list[RequestRecord]) -> Optional[dict]:
             if not records:
                 return None
-            vals = [r.slowdown for r in records]
+            # checked when recorded; int division rounds exactly, as slowdown() does
+            vals = [(r.completed_at - r.created_at) / r.exec for r in records]
             return {
                 "mean": float(np.mean(vals)),
                 "p50": percentile(vals, 0.50),
@@ -256,22 +262,14 @@ REQUESTS_CSV_HEADER = [
 ]
 
 
-def write_requests_csv(records: Sequence[RequestRecord], fp: io.TextIOBase) -> None:
+def write_requests_csv(records: Iterable[RequestRecord], fp: io.TextIOBase) -> None:
+    """One row per record; total, wait and slowdown are derived as they are written."""
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(REQUESTS_CSV_HEADER)
     for r in records:
-        writer.writerow(
-            [
-                r.request_id,
-                r.scope,
-                r.created_at,
-                r.completed_at,
-                r.total,
-                r.exec,
-                r.wait,
-                repr(r.slowdown),
-            ]
-        )
+        total = r.completed_at - r.created_at
+        writer.writerow([r.request_id, r.scope, r.created_at, r.completed_at,
+                         total, r.exec, total - r.exec, repr(total / r.exec)])
 
 
 def write_ecdf_csv(values: Sequence[float], fp: io.TextIOBase) -> None:

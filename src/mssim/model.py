@@ -77,11 +77,6 @@ def stage_count(req: ClientRequest) -> int:
     return sum(1 for _ in iter_nodes(req))
 
 
-def paths_max_depth(req: ClientRequest) -> int:
-    """Maximum `depth` over all stages; 0 when no microservice calls another."""
-    return max(stage.depth for stage in iter_nodes(req))
-
-
 def critical_path_exec(req: ClientRequest) -> SimTime:
     """Max over root-to-leaf paths of the summed execution time along the path."""
     best = 0

@@ -18,6 +18,8 @@ from .errors import ConfigError, MalformedTrace, ValidationError
 from .model import ClientRequest, Stage
 
 _PROB_TOL = 1e-9
+MAX_TIME: SimTime = 2**62  # us; the longest exec time or end_time a config may give
+_LOG_MAX_TIME = math.log(MAX_TIME)
 
 
 def _validate_weights(path: str, weights: Sequence[float]) -> None:
@@ -54,6 +56,10 @@ class ExecModel:
     def validate(self) -> None:
         if self.sigma < 0:
             raise ValidationError("exec.sigma", "must be >= 0")
+        # the largest draw is u = 1 - 2**-53; compared as logs, which cannot overflow
+        scale = 1000.0 if self.unit is ExecUnit.MILLIS else 1.0
+        if not self.mu + self.sigma * _Z_MAX + math.log(scale) <= _LOG_MAX_TIME:
+            raise ValidationError("exec", f"largest exec time exceeds {MAX_TIME} us")
 
 
 @dataclass(frozen=True)
@@ -263,6 +269,9 @@ def ndtri(y: float) -> float:
     return x if upper else -x
 
 
+_Z_MAX = ndtri(1.0 - 2.0**-53)  # the largest standard normal draw, about 8.21
+
+
 def sample_exec_time(model: ExecModel, rng: RngStream) -> SimTime:
     """exp(N(mu, sigma)) scaled by unit, rounded, floored at 1 us."""
     z = ndtri(rng.uniform())
@@ -283,7 +292,11 @@ def sample_depth(model: DepthModel, rng: RngStream) -> int:
 
 
 def _sample_categorical(weights: Sequence[float], rng: RngStream) -> int:
-    total = sum(weights)
+    # the same left-to-right float sum as `acc` below; sum() of floats is
+    # compensated from Python 3.12 on and would move draws between versions
+    total = 0.0
+    for w in weights:
+        total += w
     u = rng.uniform() * total
     acc = 0.0
     for i, w in enumerate(weights):

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -26,7 +28,17 @@ print(json.dumps({"rc": rc, "counts": spans.by_name()[1]}))
 """
 
 
-def test_tracer_installs_and_records_every_layer(tmp_path):
+# run id -> (queue policy, load balancer, spans the run must record)
+RUNS = {
+    "fs-greedy": ({"kind": "fair_share", "quantum": 500}, "greedy",
+                  ("engine.loop", "simulation.event", "instance.finish_slice",
+                   "gateway.select")),
+    "exds-lc": ("exds", "least_connection", ("instance.deadline", "metrics.record")),
+}
+
+
+@pytest.mark.parametrize("queue_policy,lb_policy,spans", RUNS.values(), ids=RUNS.keys())
+def test_tracer_installs_and_records_every_layer(tmp_path, queue_policy, lb_policy, spans):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "end_time": "50ms",
@@ -35,8 +47,8 @@ def test_tracer_installs_and_records_every_layer(tmp_path):
         "exec": {"mu": 4.912514296647084, "sigma": 2.5, "unit": "us"},
         "depth": {"0": 0.5, "2": 0.5},
         "microservices": [4, 2, 1, 1],
-        "queue_policy": {"kind": "fair_share", "quantum": 500},
-        "lb_policy": "greedy",
+        "queue_policy": queue_policy,
+        "lb_policy": lb_policy,
         "drain": True,
     }), encoding="utf-8")
     proc = subprocess.run(
@@ -47,5 +59,5 @@ def test_tracer_installs_and_records_every_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["rc"] == 0
-    for span in ("engine.loop", "simulation.event", "instance.finish_slice", "gateway.select"):
+    for span in spans:
         assert result["counts"].get(span, 0) > 0, span

@@ -185,6 +185,13 @@ INVALID = {
     "seed-bool": ({"seed": True}, "seed"),
     "end_time-bool": ({"end_time": True}, "end_time"),
     "end_time-5000-digits": ({"end_time": "9" * 5000}, "end_time"),
+    "end_time-over-2^62": ({"end_time": 2**62 + 1}, "end_time"),
+    # the largest exec is exp(mu + 8.21 sigma) ms: exp(1000) overflows a float,
+    # and exp(50) ms is about 5.2e24 us, past 2**62
+    "exec-mu-1000-overflows": ({"end_time": "10ms", "exec": {"mu": 1000, "sigma": 0}},
+                               "exec"),
+    "exec-mu-50-over-2^62": ({"end_time": "10ms", "exec": {"mu": 50, "sigma": 0}},
+                               "exec"),
     "microservices-bool": ({"microservices": [2, True]}, "microservices[1]"),
     "depth-not-integer": ({"depth": {"one": 1.0}}, "depth.one"),
     "queue-kind-old-name": ({"queue_policy": "early_deadline"}, "queue_policy"),

@@ -5,8 +5,7 @@ from mssim.instance import (
     InstanceState,
     QueueKind,
     QueuePolicy,
-    assign_deadlines_eds,
-    assign_deadlines_exds,
+    assign_deadlines,
 )
 from mssim.model import ClientRequest, InstanceId, Stage, iter_nodes
 
@@ -195,19 +194,19 @@ def deadlines(req):
 
 def test_eds_depth_two_worked_example():
     req = chain_request([1000, 1000, 1000], created_at=6000, sla=3000)
-    assign_deadlines_eds(req, req.sla)
+    assign_deadlines(req, QueueKind.EDS, req.sla)
     assert deadlines(req) == [7000, 8000, 9000]
 
 
 def test_eds_depth_zero_gets_full_sla():
     req = chain_request([1000], created_at=6000, sla=3000)
-    assign_deadlines_eds(req, req.sla)
+    assign_deadlines(req, QueueKind.EDS, req.sla)
     assert deadlines(req) == [9000]
 
 
 def test_eds_single_stage_at_origin():
     req = chain_request([1000], created_at=0, sla=3000)
-    assign_deadlines_eds(req, req.sla)
+    assign_deadlines(req, QueueKind.EDS, req.sla)
     assert deadlines(req) == [3000]
 
 
@@ -217,19 +216,19 @@ def test_eds_parallel_tree_divides_by_max_depth():
     deep = chain_request([100, 100])
     shallow = Stage(request_id=0, target=2, exec_time=100, depth=0)
     deep.root_stages.append(shallow)
-    assign_deadlines_eds(deep, deep.sla)
+    assign_deadlines(deep, QueueKind.EDS, deep.sla)
     assert shallow.deadline == deep.created_at + 1500  # sla/2, not full sla
 
 
 def test_eds_requires_positive_sla():
     req = chain_request([100], sla=0)
     with pytest.raises(ConfigError):
-        assign_deadlines_eds(req, req.sla)
+        assign_deadlines(req, QueueKind.EDS, req.sla)
 
 
 def test_exds_proportional_worked_example():
     req = chain_request([500, 1000, 500], created_at=100, sla=3000)
-    assign_deadlines_exds(req, req.sla)
+    assign_deadlines(req, QueueKind.EXDS, req.sla)
     assert deadlines(req) == [100 + 750, 100 + 2250, 100 + 3000]
 
 
@@ -237,14 +236,14 @@ def test_exds_equal_execs_collapse_to_eds():
     for execs in ([1000, 1000, 1000], [77, 77]):
         a = chain_request(list(execs), created_at=40, sla=3000)
         b = chain_request(list(execs), created_at=40, sla=3000)
-        assign_deadlines_eds(a, a.sla)
-        assign_deadlines_exds(b, b.sla)
+        assign_deadlines(a, QueueKind.EDS, a.sla)
+        assign_deadlines(b, QueueKind.EXDS, b.sla)
         assert deadlines(a) == deadlines(b)
 
 
 def test_exds_single_stage_gets_full_sla():
     req = chain_request([123], created_at=7, sla=3000)
-    assign_deadlines_exds(req, req.sla)
+    assign_deadlines(req, QueueKind.EXDS, req.sla)
     assert deadlines(req) == [3007]
 
 
@@ -252,7 +251,7 @@ def test_exds_parallel_uses_level_max_exec():
     req = chain_request([100, 300])
     sibling = Stage(request_id=0, target=2, exec_time=100, depth=1, called_by=0)
     req.root_stages[0].children.append(sibling)
-    assign_deadlines_exds(req, req.sla)
+    assign_deadlines(req, QueueKind.EXDS, req.sla)
     # levels: max(100), max(300, 100) -> prefixes 100, 400 of total 400
     ds = deadlines(req)
     assert ds[0] == 750  # 3000 * 100/400

@@ -7,10 +7,10 @@ import pytest
 from mssim.errors import EmptyInput, InvalidMetric
 from mssim.metrics import (
     MetricsCollector,
+    RequestRecord,
     ecdf,
     imbalance,
     ks_distance,
-    make_record,
     percentile,
     slowdown,
     utilization,
@@ -32,9 +32,28 @@ def test_slowdown_rejects_impossible_inputs():
 
 
 def test_record_identity_total_eq_wait_plus_exec():
-    r = make_record(1, "stage", created_at=100, completed_at=450, exec_time=200)
+    r = RequestRecord(1, "stage", created_at=100, completed_at=450, exec=200)
     assert r.total == r.wait + r.exec == 350
     assert r.slowdown == 350 / 200
+
+
+def test_record_stores_only_measured_fields():
+    assert RequestRecord.__slots__ == (
+        "request_id", "scope", "created_at", "completed_at", "exec"
+    )
+
+
+@pytest.mark.parametrize("method", ["record_client", "record_stage"])
+@pytest.mark.parametrize(
+    "created,completed,exec_time",
+    [(100, 250, 200), (0, 10, 0)],
+    ids=["completed-before-exec", "zero-exec"],
+)
+def test_collector_rejects_impossible_times_when_recording(method, created, completed, exec_time):
+    col = MetricsCollector([InstanceId(0, 0)])
+    with pytest.raises(InvalidMetric):
+        getattr(col, method)(7, created, completed, exec_time)
+    assert col.client_records == col.stage_records == []
 
 
 def test_utilization_saturated_and_idle():

@@ -7,7 +7,6 @@ from mssim.model import (
     Stage,
     critical_path_exec,
     iter_nodes,
-    paths_max_depth,
     stage_count,
     validate_tree,
 )
@@ -17,6 +16,10 @@ def stage(target, exec_time, depth, called_by=None, rid=0):
     return Stage(
         request_id=rid, target=target, exec_time=exec_time, depth=depth, called_by=called_by
     )
+
+
+def deepest(req):
+    return max(node.depth for node in iter_nodes(req))
 
 
 def chain(execs, targets=None):
@@ -35,12 +38,12 @@ def chain(execs, targets=None):
 
 def test_depth_zero_single_stage():
     req = chain([1000])
-    assert paths_max_depth(req) == 0
+    assert deepest(req) == 0
 
 
 def test_depth_two_chain_invokes_three_microservices():
     req = chain([1000, 1000, 1000])
-    assert paths_max_depth(req) == 2
+    assert deepest(req) == 2
     assert stage_count(req) == 3
 
 
@@ -52,7 +55,7 @@ def test_depth_of_branching_tree():
     c1.children = [g]
     root.children = [c1, c2]
     req = ClientRequest(request_id=0, created_at=0, sla=1, max_depth=2, root_stages=[root])
-    assert paths_max_depth(req) == 2
+    assert deepest(req) == 2
 
 
 def test_critical_path_single_node():
@@ -104,7 +107,7 @@ def test_validate_rejects_root_with_caller():
 def test_chain_stage_count_is_depth_plus_one(execs):
     req = chain(execs)
     validate_tree(req)
-    assert stage_count(req) == paths_max_depth(req) + 1 == len(execs)
+    assert stage_count(req) == deepest(req) + 1 == len(execs)
 
 
 @given(st.data())
