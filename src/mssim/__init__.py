@@ -1,7 +1,7 @@
 """mssim: deterministic discrete-event simulator for microservice applications."""
 
 from .config import SimConfig, load_config
-from .engine import Engine, RngStream, make_streams
+from .engine import Engine, RngStream
 from .gateway import LbPolicy, Registry
 from .instance import QueueKind, QueuePolicy
 from .metrics import (
@@ -57,7 +57,6 @@ __all__ = [
     "imbalance",
     "ks_distance",
     "load_config",
-    "make_streams",
     "mg1_fcfs_mean_wait",
     "percentile",
     "read_trace_csv",

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
+from itertools import chain, repeat
 from typing import Any, Callable
 
+import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import SchedulingInPast
@@ -96,35 +98,26 @@ _STREAM_IDS = {
 
 
 class RngStream:
-    """One deterministic uniform stream per `_STREAM_IDS` label and master seed.
+    """One deterministic stream per `_STREAM_IDS` label and master seed.
 
-    Identical (seed, stream_id, draw index) yields an identical value on
-    every platform (PCG64 behind a per-stream SeedSequence spawn key).
+    Uniforms in [0, 1) are drawn `chunk` at a time and `transform` turns each
+    chunk (an array) into a list of draws, by default the uniforms themselves
+    as Python floats. Identical (seed, stream_id, draw index) yields an
+    identical uniform on every platform (PCG64 behind a per-stream
+    SeedSequence spawn key), so with an elementwise transform the draws do
+    not depend on the chunk size.
     """
 
-    def __init__(self, seed: int, stream_id: str, chunk: int = 1024):
-        key = _STREAM_IDS[stream_id]
-        self.seed = seed
-        self.stream_id = stream_id
-        self._gen = Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(key,))))
-        self._chunk = chunk
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def uniform(self) -> float:
-        """Next value in [0, 1). Buffered; the sequence is chunk-size independent."""
-        if self._pos >= len(self._buf):
-            # one conversion per chunk: indexing a list of Python floats is
-            # several times cheaper than indexing the array and calling float();
-            # a list costs 32 B per draw against the array's 8 B, so a
-            # 1,024-draw chunk takes the memory a 4,096-draw array did
-            self._buf = self._gen.random(self._chunk).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
-
-
-def make_streams(seed: int) -> dict[str, RngStream]:
-    """The five stochastic-component streams used by workload generation."""
-    return {name: RngStream(seed, name) for name in _STREAM_IDS}
+    def __init__(
+        self,
+        seed: int,
+        stream_id: str,
+        chunk: int = 1024,
+        transform: Callable[[np.ndarray], list] = np.ndarray.tolist,
+    ):
+        gen = Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(_STREAM_IDS[stream_id],))))
+        # next() on a chain of lists is a C call, several times cheaper than a
+        # method that indexes a buffer; a list costs 32 B per draw against an
+        # array's 8 B, so a 1,024-draw chunk takes what a 4,096-draw array did
+        chunks = map(transform, map(gen.random, repeat(chunk)))
+        self.draw: Callable[[], Any] = chain.from_iterable(chunks).__next__

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from . import workload
 from .config import SimConfig
-from .engine import Engine, SimTime, deliver, make_streams
+from .engine import Engine, SimTime, deliver
 from .gateway import (
     LbPolicy,
     Registry,
@@ -28,7 +29,7 @@ from .model import (
     critical_path_exec,
     stage_count,
 )
-from .workload import TraceRow, build_client_request, sample_interarrival
+from .workload import Samplers, TraceRow, build_client_request
 
 
 @dataclass
@@ -37,10 +38,6 @@ class SimResult:
     client_records: list[RequestRecord]
     stage_records: list[RequestRecord]
     trace_rows: list[TraceRow]
-
-    @property
-    def records(self) -> list[RequestRecord]:
-        return self.client_records + self.stage_records
 
 
 class Simulation:
@@ -72,9 +69,9 @@ class Simulation:
         if replay is not None:
             ordered = sorted(replay, key=lambda r: (r.created_at, r.request_id))
             self._replay_iter = iter(ordered)
-            self.streams = None
+            self.samplers = None
         else:
-            self.streams = make_streams(cfg.seed)
+            self.samplers = Samplers(self.workload, cfg.seed)
         kind = cfg.queue_policy.kind
         self._deadline_kind: Optional[QueueKind] = kind if kind.has_deadlines else None
 
@@ -86,7 +83,8 @@ class Simulation:
             if req is not None and req.created_at <= self.cfg.end_time:
                 self.engine.schedule(req.created_at, self._on_arrival, req)
         else:
-            gap = sample_interarrival(self.workload.arrival, self.streams["arrival"])
+            # looked up on the module, so that a profiler can wrap it
+            gap = workload.sample_interarrival(self.samplers)
             if now + gap <= self.cfg.end_time:
                 self.engine.schedule(now + gap, self._on_arrival)
 
@@ -94,9 +92,7 @@ class Simulation:
         now = self.engine.now
         self._schedule_next_arrival(now)
         if req is None:
-            req = build_client_request(
-                self._next_request_id, now, self.workload, self.streams
-            )
+            req = build_client_request(self._next_request_id, now, self.samplers)
             self._next_request_id += 1
         elif req.stages == 0:  # built by hand rather than by replay_trace
             req.stages = stage_count(req)

@@ -9,16 +9,20 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
-from .engine import RngStream, SimTime, round_half_up
+import numpy as np
+
+from .engine import RngStream, SimTime
 from .errors import ConfigError, MalformedTrace, ValidationError
 from .model import ClientRequest, Stage
 
 _PROB_TOL = 1e-9
-MAX_TIME: SimTime = 2**62  # us; the longest exec time or end_time a config may give
+MAX_TIME: SimTime = 2**62  # us; the longest exec time, mean gap or end_time a config may give
 _LOG_MAX_TIME = math.log(MAX_TIME)
 
 
@@ -36,8 +40,8 @@ class ArrivalModel:
     mean_interarrival: SimTime  # microseconds
 
     def validate(self) -> None:
-        if self.mean_interarrival <= 0:
-            raise ValidationError("arrival.mean_interarrival", "must be > 0")
+        if not 0 < self.mean_interarrival <= MAX_TIME:
+            raise ValidationError("arrival.mean_interarrival", f"must be > 0 and <= {MAX_TIME} us")
 
 
 class ExecUnit(Enum):
@@ -155,11 +159,26 @@ class WorkloadModel:
             raise ValidationError("sla", "must be > 0")
 
 
-def sample_interarrival(model: ArrivalModel, rng: RngStream) -> SimTime:
-    """Exponential gap with the configured mean, rounded, floored at 1 us."""
-    u = rng.uniform()
-    gap = -model.mean_interarrival * math.log1p(-u)
-    return max(1, round_half_up(gap))
+# --- samplers -------------------------------------------------------------
+# A chunk transform gives each uniform the sample a scalar draw of it would:
+# numpy does only what IEEE 754 rounds correctly (+ - * /, sqrt, comparisons,
+# searchsorted) in the scalar order, and exp, log and log1p go through `math`
+# one element at a time, so no sample depends on the host's numpy build.
+
+
+def _elementwise(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn of each element, called on Python floats."""
+    return np.fromiter(map(fn, x.tolist()), np.float64, len(x))
+
+
+def _whole_us(x: np.ndarray) -> list[SimTime]:
+    """round_half_up to whole microseconds, floored at 1 us."""
+    return list(map(int, np.maximum(np.floor(x + 0.5), 1.0).tolist()))
+
+
+def interarrival_chunk(model: ArrivalModel, u: np.ndarray) -> list[SimTime]:
+    """Exponential gaps with the configured mean."""
+    return _whole_us(float(-model.mean_interarrival) * _elementwise(math.log1p, -u))
 
 
 # Cephes ndtri (inverse of the standard normal CDF), as in scipy.special.ndtri.
@@ -236,122 +255,134 @@ _Q2 = (
 )
 
 
-def _horner(x: float, coef: tuple[float, ...]) -> float:
-    """coef[0] x^n + ... + coef[n]; 0.0 * x + coef[0] is exactly coef[0]."""
-    acc = 0.0
-    for c in coef:
-        acc = acc * x + c
+def _polyval(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """coef[0] x^n + ... + coef[n] by Horner, one multiply and one add per step."""
+    acc = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        acc *= x
+        acc += c
     return acc
 
 
-def ndtri(y: float) -> float:
+def ndtri(y: np.ndarray) -> np.ndarray:
     """The z with standard normal CDF(z) = y; -inf at 0, inf at 1, nan outside [0, 1]."""
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
     upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    if x < 8.0:
-        tail = z * _horner(z, _P1) / _horner(z, _Q1)
-    else:
-        tail = z * _horner(z, _P2) / _horner(z, _Q2)
-    x = x - math.log(x) / x - tail
-    return x if upper else -x
+    t = np.where(upper, 1.0 - y, y)
+    z = np.where(upper, math.inf, -math.inf)  # t == 0, where log(t) is undefined
+    mid = t > _EXP_M2
+    w = t[mid] - 0.5
+    w2 = w * w
+    z[mid] = (w + w * (w2 * _polyval(w2, _P0) / _polyval(w2, _Q0))) * _S2PI
+    tail = (t > 0.0) & ~mid
+    x = np.sqrt(-2.0 * _elementwise(math.log, t[tail]))
+    r = 1.0 / x
+    p = np.where(
+        x < 8.0,
+        r * _polyval(r, _P1) / _polyval(r, _Q1),
+        r * _polyval(r, _P2) / _polyval(r, _Q2),
+    )
+    x = x - _elementwise(math.log, x) / x - p
+    z[tail] = np.where(upper[tail], x, -x)
+    z[~((y >= 0.0) & (y <= 1.0))] = math.nan
+    return z
 
 
-_Z_MAX = ndtri(1.0 - 2.0**-53)  # the largest standard normal draw, about 8.21
+# ndtri(1 - 2**-53), the largest normal draw; a literal, because calling ndtri
+# at import would page in numpy's ufunc loops in runs that never sample
+_Z_MAX = 8.209536151601387
 
 
-def sample_exec_time(model: ExecModel, rng: RngStream) -> SimTime:
-    """exp(N(mu, sigma)) scaled by unit, rounded, floored at 1 us."""
-    z = ndtri(rng.uniform())
-    x = math.exp(model.mu + model.sigma * z)
-    if model.unit is ExecUnit.MILLIS:
-        x *= 1000.0
-    return max(1, round_half_up(x))
+def exec_chunk(model: ExecModel, u: np.ndarray) -> list[SimTime]:
+    """exp(N(mu, sigma)) scaled by unit."""
+    scale = 1000.0 if model.unit is ExecUnit.MILLIS else 1.0  # x * 1.0 is x
+    if model.sigma == 0:  # also where u == 0, which would give 0 * -inf
+        return _whole_us(np.full(len(u), math.exp(float(model.mu)) * scale))
+    a = float(model.mu) + float(model.sigma) * ndtri(u)
+    return _whole_us(_elementwise(math.exp, a) * scale)
 
 
-def sample_depth(model: DepthModel, rng: RngStream) -> int:
-    u = rng.uniform()
+def depth_chunk(model: DepthModel, u: np.ndarray) -> list[int]:
+    """The first depth whose cumulative probability exceeds u; the last one past the sum."""
     acc = 0.0
-    for depth, p in model.outcomes:
-        acc += p
-        if u < acc:
-            return depth
-    return model.outcomes[-1][0]
+    cum = [acc := acc + p for _, p in model.outcomes]  # summed left to right
+    depths = [d for d, _ in model.outcomes] + [model.outcomes[-1][0]]
+    return list(map(depths.__getitem__, np.searchsorted(cum, u, side="right").tolist()))
 
 
-def _sample_categorical(weights: Sequence[float], rng: RngStream) -> int:
-    # the same left-to-right float sum as `acc` below; sum() of floats is
-    # compensated from Python 3.12 on and would move draws between versions
-    total = 0.0
-    for w in weights:
-        total += w
-    u = rng.uniform() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    # numerical edge: fall back to the last positive weight
-    for i in range(len(weights) - 1, -1, -1):
-        if weights[i] > 0:
-            return i
-    raise ConfigError("all categorical weights are zero")
+class Picker:
+    """Weight-proportional draws of distinct indices, one uniform u per index.
+
+    Each pick is the first index whose cumulative weight exceeds u * total,
+    or the last positive weight past the numerical end. The first pick's
+    table is built once per excluded index; the table of each later pick,
+    which also removes the indices already picked, is built when it is drawn.
+    """
+
+    def __init__(self, weights: Sequence[float], uniform: Callable[[], float]):
+        self._weights = weights
+        self._uniform = uniform
+        self._first: dict[Optional[int], tuple[list[float], int]] = {}
+
+    def _table(self, removed: Sequence[Optional[int]]) -> tuple[list[float], int]:
+        # summed left to right: sum() of floats is compensated from Python 3.12
+        # on and would move draws between versions; acc + 0.0 is acc
+        acc = 0.0
+        cum = [acc := acc + (0.0 if i in removed else w) for i, w in enumerate(self._weights)]
+        positive = [i for i, w in enumerate(self._weights) if w > 0 and i not in removed]
+        if not positive:
+            raise ConfigError("cannot choose distinct microservices from the available weights")
+        return cum, positive[-1]
+
+    def distinct(self, k: int, exclude: Optional[int] = None) -> list[int]:
+        table = self._first.get(exclude) or self._first.setdefault(exclude, self._table((exclude,)))
+        picks = []
+        while True:
+            cum, last = table
+            i = bisect_right(cum, self._uniform() * cum[-1])
+            if i == len(cum):
+                i = last
+            picks.append(i)
+            if len(picks) == k:
+                return picks
+            table = self._table((exclude, *picks))
 
 
-def _sample_distinct(
-    weights: Sequence[float], k: int, rng: RngStream, exclude: Optional[int] = None
-) -> list[int]:
-    """k distinct indices, weight-proportional, optionally excluding one index."""
-    w = list(weights)
-    if exclude is not None:
-        w[exclude] = 0.0
-    if sum(1 for x in w if x > 0) < k:
-        raise ConfigError(
-            f"cannot choose {k} distinct microservices from the available weights"
-        )
-    chosen = []
-    for _ in range(k):
-        i = _sample_categorical(w, rng)
-        chosen.append(i)
-        w[i] = 0.0
-    return chosen
+class Samplers:
+    """The draws of one sampled run, each kind from its own `RngStream`."""
+
+    def __init__(self, wl: WorkloadModel, seed: int, chunk: int = 1024):
+        def stream(name: str, transform: Callable = np.ndarray.tolist) -> Callable:
+            return RngStream(seed, name, chunk, transform).draw
+
+        self.model = wl
+        self.interarrival = stream("arrival", partial(interarrival_chunk, wl.arrival))
+        self.exec_time = stream("exec", partial(exec_chunk, wl.exec))
+        self.depth = stream("depth", partial(depth_chunk, wl.depth))
+        self.routing = Picker(wl.routing.call_probabilities, stream("routing"))
+        self.communication = Picker(wl.communication.comm_probabilities, stream("communication"))
 
 
-def build_client_request(
-    request_id: int,
-    now: SimTime,
-    wl: WorkloadModel,
-    streams: dict[str, RngStream],
-) -> ClientRequest:
+def sample_interarrival(samplers: Samplers) -> SimTime:
+    """The gap to the next arrival."""
+    return samplers.interarrival()
+
+
+def build_client_request(request_id: int, now: SimTime, samplers: Samplers) -> ClientRequest:
     """Materialize the full call tree: targets, execution times, depths.
 
     Depth-0 targets come from the routing model; deeper targets from the
     communication model excluding the parent's microservice. Every path
     reaches the sampled depth.
     """
-    depth = sample_depth(wl.depth, streams["depth"])
-    n_ms = len(wl.routing.call_probabilities)
-    if depth > 0 and n_ms < 2:
+    wl = samplers.model
+    depth = samplers.depth()
+    if depth > 0 and len(wl.routing.call_probabilities) < 2:
         raise ConfigError("sampled depth > 0 with a single configured microservice")
 
-    roots = _sample_distinct(
-        wl.routing.call_probabilities, wl.routing.fanout, streams["routing"]
-    )
-    exec_stream = streams["exec"]
-    comm_stream = streams["communication"]
-    comm = wl.communication
+    roots = samplers.routing.distinct(wl.routing.fanout)
+    exec_time_of = samplers.exec_time
+    callees = samplers.communication.distinct
+    fanout = wl.communication.fanout
     root_stages: list[Stage] = []
     stages = crit_exec = 0
     # depth-first preorder, the order in which the streams are drawn; an
@@ -359,15 +390,13 @@ def build_client_request(
     stack = [(t, 0, None, root_stages, 0) for t in reversed(roots)]
     while stack:
         target, d, called_by, siblings, above = stack.pop()
-        exec_time = sample_exec_time(wl.exec, exec_stream)
+        exec_time = exec_time_of()
         stages += 1
         path = above + exec_time
         children: Sequence[Stage] = ()  # shared by every leaf
         if d < depth:
             children = []
-            picks = _sample_distinct(
-                comm.comm_probabilities, comm.fanout, comm_stream, exclude=target
-            )
+            picks = callees(fanout, target)
             stack.extend((c, d + 1, target, children, path) for c in reversed(picks))
         elif path > crit_exec:  # every path reaches the sampled depth
             crit_exec = path

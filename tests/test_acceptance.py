@@ -13,6 +13,7 @@ import json
 import math
 import random
 import time
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -310,7 +311,7 @@ def test_criterion_8_trace_round_trip():
 
     def per_request_csv(result):
         buf = io.StringIO()
-        write_requests_csv(result.records, buf)
+        write_requests_csv(chain(result.client_records, result.stage_records), buf)
         return buf.getvalue()
 
     replayed = run_simulation(
@@ -326,7 +327,7 @@ def test_criterion_8_trace_round_trip():
 def test_criterion_9_metric_identities(experiment1_runs):
     for name, result in experiment1_runs.items():
         assert result.report.stage_requests >= result.report.client_requests
-        for rec in result.records:
+        for rec in chain(result.client_records, result.stage_records):
             assert rec.total == rec.wait + rec.exec, name
             assert rec.slowdown >= 1.0, name
         points = ecdf([r.slowdown for r in result.client_records])

@@ -32,7 +32,7 @@ print(json.dumps({"rc": rc, "counts": spans.by_name()[1]}))
 RUNS = {
     "fs-greedy": ({"kind": "fair_share", "quantum": 500}, "greedy",
                   ("engine.loop", "simulation.event", "instance.finish_slice",
-                   "gateway.select")),
+                   "gateway.select", "workload.build", "workload.interarrival")),
     "exds-lc": ("exds", "least_connection", ("instance.deadline", "metrics.record")),
 }
 

@@ -186,6 +186,9 @@ INVALID = {
     "end_time-bool": ({"end_time": True}, "end_time"),
     "end_time-5000-digits": ({"end_time": "9" * 5000}, "end_time"),
     "end_time-over-2^62": ({"end_time": 2**62 + 1}, "end_time"),
+    # a gap is at most about 37 means; a mean near 1e308 us overflows the float
+    "arrival-mean-over-2^62": ({"arrival": {"mean_interarrival": 2**62 + 1}},
+                               "arrival.mean_interarrival"),
     # the largest exec is exp(mu + 8.21 sigma) ms: exp(1000) overflows a float,
     # and exp(50) ms is about 5.2e24 us, past 2**62
     "exec-mu-1000-overflows": ({"end_time": "10ms", "exec": {"mu": 1000, "sigma": 0}},

@@ -3,7 +3,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 import pytest
 from hypothesis import given, strategies as st
 
-from mssim.engine import Engine, RngStream, make_streams
+from mssim.engine import Engine, RngStream
 from mssim.errors import SchedulingInPast
 
 
@@ -95,35 +95,35 @@ def test_fire_hook_sees_every_event_in_order():
 def test_same_seed_same_stream_identical_sequence():
     a = RngStream(123, "arrival")
     b = RngStream(123, "arrival")
-    assert [a.uniform() for _ in range(1000)] == [b.uniform() for _ in range(1000)]
+    assert [a.draw() for _ in range(1000)] == [b.draw() for _ in range(1000)]
 
 
 def test_buffering_does_not_change_the_sequence():
     a = RngStream(9, "exec", chunk=1)
     b = RngStream(9, "exec", chunk=4096)
-    assert [a.uniform() for _ in range(500)] == [b.uniform() for _ in range(500)]
+    assert [a.draw() for _ in range(500)] == [b.draw() for _ in range(500)]
 
 
 def test_draws_across_chunks_match_the_generator_as_python_floats():
     for seed, name, key in ((0, "arrival", 0), (11, "communication", 4)):
         stream = RngStream(seed, name)
-        n = 2 * stream._chunk + 100  # crosses two chunk boundaries
-        xs = [stream.uniform() for _ in range(n)]
+        n = 2 * 1024 + 100  # crosses two chunk boundaries of the default size
+        xs = [stream.draw() for _ in range(n)]
         ref = Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(key,)))).random(n)
         assert xs == ref.tolist()
         assert all(type(x) is float for x in xs)
 
 
 def test_different_streams_are_uncorrelated():
-    streams = make_streams(7)
+    arrival, exec_ = RngStream(7, "arrival"), RngStream(7, "exec")
     n = 100_000
-    xs = np.array([streams["arrival"].uniform() for _ in range(n)])
-    ys = np.array([streams["exec"].uniform() for _ in range(n)])
+    xs = np.array([arrival.draw() for _ in range(n)])
+    ys = np.array([exec_.draw() for _ in range(n)])
     assert abs(np.corrcoef(xs, ys)[0, 1]) < 0.01
 
 
 def test_uniform_mean_converges():
     s = RngStream(42, "routing")
-    xs = [s.uniform() for _ in range(100_000)]
+    xs = [s.draw() for _ in range(100_000)]
     assert abs(np.mean(xs) - 0.5) < 0.01
     assert all(0.0 <= x < 1.0 for x in xs)

@@ -1,5 +1,6 @@
 import io
 import math
+from itertools import chain
 
 import pytest
 
@@ -40,7 +41,7 @@ def small_cfg(**overrides) -> SimConfig:
 
 def requests_csv(result) -> str:
     buf = io.StringIO()
-    write_requests_csv(result.records, buf)
+    write_requests_csv(chain(result.client_records, result.stage_records), buf)
     return buf.getvalue()
 
 
@@ -60,7 +61,7 @@ def test_different_seed_different_output():
 def test_record_identities_hold_everywhere():
     result = run_simulation(small_cfg())
     assert result.client_records, "run produced no completed requests"
-    for r in result.records:
+    for r in chain(result.client_records, result.stage_records):
         assert r.total == r.completed_at - r.created_at
         assert r.total == r.wait + r.exec
         assert r.wait >= 0
@@ -79,7 +80,7 @@ def test_no_drain_cuts_off_at_end_time():
     cfg = small_cfg(drain=False)
     result = run_simulation(cfg)
     assert result.report.drain_until == cfg.end_time
-    for r in result.records:
+    for r in chain(result.client_records, result.stage_records):
         assert r.completed_at <= cfg.end_time
 
 

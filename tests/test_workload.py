@@ -3,15 +3,16 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mssim import workload
 from mssim.config import DEFAULT_WEIGHTS, SimConfig
-from mssim.engine import RngStream, make_streams
+from mssim.engine import RngStream
 from mssim.errors import ConfigError, MalformedTrace, ValidationError
 from mssim.model import iter_nodes, stage_count, validate_tree
 from mssim.simulation import run_simulation
@@ -22,17 +23,20 @@ from mssim.workload import (
     ExecModel,
     ExecUnit,
     RoutingModel,
+    Samplers,
     TraceRow,
     WorkloadModel,
     build_client_request,
+    depth_chunk,
+    exec_chunk,
+    interarrival_chunk,
     ndtri,
     read_trace_csv,
     replay_trace,
-    sample_depth,
-    sample_exec_time,
-    sample_interarrival,
     write_trace_csv,
 )
+
+import scalar_sampling as scalar
 
 
 def wl(
@@ -55,91 +59,237 @@ def wl(
 # --- samplers ---------------------------------------------------------------
 
 
+def samples(chunk_fn, model, seed, stream, n, chunk=1024):
+    """The first n samples of a stream that chunk_fn transforms."""
+    draw = RngStream(seed, stream, chunk, partial(chunk_fn, model)).draw
+    return [draw() for _ in range(n)]
+
+
 def test_interarrival_mean_matches_model():
-    rng = RngStream(3, "arrival")
-    model = ArrivalModel(1066)
-    xs = [sample_interarrival(model, rng) for _ in range(100_000)]
+    xs = samples(interarrival_chunk, ArrivalModel(1066), 3, "arrival", 100_000)
     assert abs(np.mean(xs) - 1066) / 1066 < 0.02
 
 
 def test_interarrival_floors_at_one_microsecond():
-    rng = RngStream(3, "arrival")
-    model = ArrivalModel(1)
-    assert all(sample_interarrival(model, rng) >= 1 for _ in range(10_000))
+    assert all(x >= 1 for x in samples(interarrival_chunk, ArrivalModel(1), 3, "arrival", 10_000))
 
 
 def test_interarrival_deterministic_per_seed():
-    xs = RngStream(11, "arrival")
-    ys = RngStream(11, "arrival")
     model = ArrivalModel(500)
-    assert [sample_interarrival(model, xs) for _ in range(1000)] == [
-        sample_interarrival(model, ys) for _ in range(1000)
-    ]
+    assert samples(interarrival_chunk, model, 11, "arrival", 1000) == samples(
+        interarrival_chunk, model, 11, "arrival", 1000
+    )
 
 
 def test_exec_degenerate_lognormal_is_constant():
-    rng = RngStream(5, "exec")
     model = ExecModel(mu=math.log(1000), sigma=0.0, unit=ExecUnit.MICROS)
-    assert {sample_exec_time(model, rng) for _ in range(100)} == {1000}
+    assert set(samples(exec_chunk, model, 5, "exec", 100)) == {1000}
 
 
 def test_exec_median_is_exp_mu():
-    rng = RngStream(5, "exec")
     model = ExecModel(mu=4.13, sigma=0.8, unit=ExecUnit.MICROS)
-    xs = [sample_exec_time(model, rng) for _ in range(100_000)]
+    xs = samples(exec_chunk, model, 5, "exec", 100_000)
     assert abs(np.median(xs) - math.exp(4.13)) / math.exp(4.13) < 0.05
 
 
 def test_exec_mean_matches_lognormal_moment():
-    rng = RngStream(5, "exec")
     mu, sigma = math.log(500), 1.0
     model = ExecModel(mu=mu, sigma=sigma, unit=ExecUnit.MICROS)
-    xs = [sample_exec_time(model, rng) for _ in range(100_000)]
+    xs = samples(exec_chunk, model, 5, "exec", 100_000)
     expected = math.exp(mu + sigma**2 / 2)
     assert abs(np.mean(xs) - expected) / expected < 0.10
 
 
 def test_exec_millis_unit_scales_by_1000():
-    rng = RngStream(5, "exec")
     model = ExecModel(mu=math.log(2), sigma=0.0, unit=ExecUnit.MILLIS)
-    assert sample_exec_time(model, rng) == 2000
+    assert samples(exec_chunk, model, 5, "exec", 1) == [2000]
+
+
+def test_exec_draw_of_zero_is_sampled():
+    # ndtri(0) is -inf; with sigma 0 the scalar draw took 0 * -inf = nan and
+    # failed to round it
+    u = np.array([0.0, 0.25, 0.0])
+    for unit, scale in ((ExecUnit.MICROS, 1), (ExecUnit.MILLIS, 1000)):
+        assert exec_chunk(ExecModel(math.log(7), 0.0, unit), u) == [7 * scale] * 3
+        model = ExecModel(math.log(7), 0.5, unit)
+        uniform = iter(u.tolist()).__next__
+        assert exec_chunk(model, u)[0] == 1
+        assert exec_chunk(model, u) == [scalar.sample_exec_time(model, uniform) for _ in u]
 
 
 def test_depth_two_point_distribution():
-    rng = RngStream(7, "depth")
     model = DepthModel(outcomes=((0, 0.5), (2, 0.5)))
-    xs = [sample_depth(model, rng) for _ in range(100_000)]
+    xs = samples(depth_chunk, model, 7, "depth", 100_000)
     assert abs(np.mean([x == 2 for x in xs]) - 0.5) < 0.01
 
 
 def test_depth_degenerate():
-    rng = RngStream(7, "depth")
     model = DepthModel(outcomes=((0, 1.0),))
-    assert all(sample_depth(model, rng) == 0 for _ in range(1000))
+    assert all(x == 0 for x in samples(depth_chunk, model, 7, "depth", 1000))
 
 
 def test_depth_three_outcome_frequencies():
-    rng = RngStream(7, "depth")
     model = DepthModel(outcomes=((0, 0.3), (1, 0.3), (2, 0.4)))
-    xs = np.array([sample_depth(model, rng) for _ in range(100_000)])
+    xs = np.array(samples(depth_chunk, model, 7, "depth", 100_000))
     for depth, p in model.outcomes:
         assert abs(np.mean(xs == depth) - p) < 0.01
+
+
+# --- chunk transforms against the scalar samplers -----------------------------
+
+EXEC_MODELS = [
+    ExecModel(mu=4.912514296647084, sigma=2.5, unit=ExecUnit.MICROS),
+    ExecModel(mu=4.13, sigma=3.48, unit=ExecUnit.MILLIS),
+]
+# (chunk transform, model, stream, scalar sampler) for every transformed stream
+TRANSFORMS = {
+    "arrival": (interarrival_chunk, ArrivalModel(1066), "arrival", scalar.sample_interarrival),
+    "exec-us": (exec_chunk, EXEC_MODELS[0], "exec", scalar.sample_exec_time),
+    "exec-ms": (exec_chunk, EXEC_MODELS[1], "exec", scalar.sample_exec_time),
+    "depth": (depth_chunk, DepthModel(((0, 0.3), (1, 0.1), (3, 0.6))), "depth",
+              scalar.sample_depth),
+}
+
+
+@pytest.mark.parametrize("chunk_fn,model,stream,sample", TRANSFORMS.values(), ids=TRANSFORMS)
+def test_chunk_transform_matches_scalar_sampler_on_a_million_draws(chunk_fn, model, stream, sample):
+    n = 1_000_000
+    uniform = RngStream(2024, stream).draw
+    want = [sample(model, uniform) for _ in range(n)]
+    assert samples(chunk_fn, model, 2024, stream, n) == want
+
+
+E2 = math.exp(-2)
+EDGE_UNIFORMS = [
+    0.0, 2.0**-53, 5e-324, 1e-300, math.exp(-32), np.nextafter(math.exp(-32), 1), 0.5,
+    E2, np.nextafter(E2, 0), np.nextafter(E2, 1),
+    1 - E2, np.nextafter(1 - E2, 0), np.nextafter(1 - E2, 1),
+    1 - 2.0**-53,
+]
+
+
+def near_half_uniforms(model, ks):
+    """Uniforms (multiples of 2**-53) whose scaled exec lies within 1 ulp of k + 0.5."""
+    scale = 1000.0 if model.unit is ExecUnit.MILLIS else 1.0
+    found = []
+    for k in ks:
+        z = (math.log((k + 0.5) / scale) - model.mu) / model.sigma
+        u0 = round(0.5 * math.erfc(-z / math.sqrt(2)) * 2**53)
+        for u in ((u0 + j) * 2.0**-53 for j in range(-40, 41)):
+            x = math.exp(model.mu + model.sigma * scalar.ndtri(u)) * scale
+            if abs(x - (k + 0.5)) <= math.ulp(k + 0.5):
+                found.append(u)
+    return found
+
+
+@pytest.mark.parametrize("model", EXEC_MODELS + [
+    ExecModel(mu=math.log(1000), sigma=0.5, unit=ExecUnit.MICROS),
+    ExecModel(mu=0.0, sigma=0.5, unit=ExecUnit.MILLIS),
+], ids=["us", "ms", "us-narrow", "ms-narrow"])
+def test_exec_transform_matches_scalar_sampler_on_edge_uniforms(model):
+    near_half = near_half_uniforms(model, range(1, 5000, 7))
+    assert len(near_half) >= 20
+    u = EDGE_UNIFORMS + near_half
+    uniform = iter(u).__next__
+    assert exec_chunk(model, np.array(u)) == [scalar.sample_exec_time(model, uniform) for _ in u]
+
+
+def test_arrival_and_depth_transforms_match_scalar_samplers_on_edge_uniforms():
+    depth = DepthModel(((0, 0.5), (2, 0.5)))
+    acc = 0.0
+    bounds = [acc := acc + p for _, p in depth.outcomes]
+    u = EDGE_UNIFORMS + [x for b in bounds for x in (np.nextafter(b, 0), b) if x < 1]
+    for chunk_fn, model, sample in ((interarrival_chunk, ArrivalModel(1066), scalar.sample_interarrival),
+                                    (interarrival_chunk, ArrivalModel(1), scalar.sample_interarrival),
+                                    (depth_chunk, depth, scalar.sample_depth)):
+        uniform = iter(u).__next__
+        assert chunk_fn(model, np.array(u)) == [sample(model, uniform) for _ in u]
+
+
+def test_largest_normal_draw_is_the_vector_ndtri_of_the_largest_uniform():
+    assert workload._Z_MAX == scalar.ndtri(1 - 2.0**-53) == ndtri(np.array([1 - 2.0**-53]))[0]
+
+
+def test_picker_matches_scalar_distinct_draws():
+    weights = (0.5, 0.0, 0.2, 0.1, 0.2)
+    uniform = RngStream(5, "communication").draw
+    picker = workload.Picker(weights, RngStream(5, "communication").draw)
+    for n in range(20_000):
+        exclude = (None, 0, 2, 3, 4)[n % 5]
+        k = 1 + n % 3
+        assert picker.distinct(k, exclude) == scalar._sample_distinct(weights, k, uniform, exclude)
+
+
+def tree(req):
+    """A client request as nested tuples, stage fields included."""
+    def node(st):
+        return (st.request_id, st.target, st.exec_time, st.depth, st.called_by,
+                tuple(node(c) for c in st.children))
+    return (req.request_id, req.created_at, req.sla, req.max_depth, req.stages,
+            req.crit_exec, tuple(node(r) for r in req.root_stages))
+
+
+@st.composite
+def workload_models(draw):
+    n_ms = draw(st.integers(2, 6))
+    def weights():
+        w = draw(st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.62, 1.0]),
+                          min_size=n_ms, max_size=n_ms).filter(lambda w: sum(w) > 0))
+        return tuple(x / sum(w) for x in w)
+    depths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    model = WorkloadModel(
+        arrival=ArrivalModel(1066),
+        exec=draw(st.sampled_from([
+            ExecModel(mu=4.912514296647084, sigma=2.5, unit=ExecUnit.MICROS),
+            ExecModel(mu=0.5, sigma=1.5, unit=ExecUnit.MILLIS),
+        ])),
+        depth=DepthModel(tuple((d, 1 / len(depths)) for d in depths)),
+        routing=RoutingModel(weights(), draw(st.integers(1, 3))),
+        communication=CommunicationModel(weights(), draw(st.integers(1, 3))),
+        sla=4_000_000,
+    )
+    try:
+        model.validate(n_ms)
+    except ValidationError:
+        assume(False)
+    return model
+
+
+@given(workload_models(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_request_trees_match_the_scalar_builder(model, seed):
+    samplers = Samplers(model, seed)
+    streams = scalar.uniform_streams(seed)
+    for rid in range(30):
+        now = rid * 1066
+        assert tree(build_client_request(rid, now, samplers)) == tree(
+            scalar.build_client_request(rid, now, model, streams))
+
+
+def test_chunk_size_does_not_change_samples():
+    model = wl(n_ms=4, depth=((0, 0.25), (1, 0.25), (3, 0.5)), fanout=2)
+    small, large = Samplers(model, 8, chunk=1), Samplers(model, 8, chunk=4096)
+    for rid in range(150):
+        assert small.interarrival() == large.interarrival()
+        assert tree(build_client_request(rid, 0, small)) == tree(
+            build_client_request(rid, 0, large))
+    for chunk_fn, model, stream, _ in TRANSFORMS.values():
+        assert samples(chunk_fn, model, 8, stream, 2000, chunk=1) == samples(
+            chunk_fn, model, 8, stream, 2000, chunk=4096)
 
 
 # --- request building ---------------------------------------------------------
 
 
 def test_depth_zero_request_single_stage():
-    streams = make_streams(1)
-    req = build_client_request(0, 100, wl(depth=((0, 1.0),)), streams)
+    req = build_client_request(0, 100, Samplers(wl(depth=((0, 1.0),)), 1))
     validate_tree(req)
     assert stage_count(req) == 1
     assert req.root_stages[0].called_by is None
 
 
 def test_depth_two_fanout_one_builds_sequential_chain():
-    streams = make_streams(1)
-    req = build_client_request(0, 0, wl(depth=((2, 1.0),)), streams)
+    req = build_client_request(0, 0, Samplers(wl(depth=((2, 1.0),)), 1))
     validate_tree(req)
     assert stage_count(req) == 3
     node = req.root_stages[0]
@@ -153,9 +303,9 @@ def test_depth_two_fanout_one_builds_sequential_chain():
 def test_communication_exclusion_renormalizes():
     # two microservices with equal weight: the child of an M-target stage is
     # always the other microservice
-    streams = make_streams(2)
+    samplers = Samplers(wl(n_ms=2, depth=((2, 1.0),)), 2)
     for _ in range(200):
-        req = build_client_request(0, 0, wl(n_ms=2, depth=((2, 1.0),)), streams)
+        req = build_client_request(0, 0, samplers)
         for node in iter_nodes(req):
             for child in node.children:
                 assert child.target != node.target
@@ -165,12 +315,9 @@ def test_categorical_draw_does_not_depend_on_float_sum(monkeypatch):
     # caller 2 excluded from the default weights: summed left to right they
     # give 0.92, correctly rounded (sum() from Python 3.12 on) 0.9199999999999999,
     # and this draw lands on microservice 3 only with the first
-    class Stub:
-        def uniform(self):
-            return 0.8695652173913043
-
     monkeypatch.setattr(workload, "sum", math.fsum, raising=False)
-    assert workload._sample_distinct(DEFAULT_WEIGHTS, 1, Stub(), exclude=2) == [3]
+    picker = workload.Picker(DEFAULT_WEIGHTS, lambda: 0.8695652173913043)
+    assert picker.distinct(1, exclude=2) == [3]
 
 
 def test_nan_weights_and_probabilities_rejected():
@@ -181,18 +328,16 @@ def test_nan_weights_and_probabilities_rejected():
 
 
 def test_single_microservice_with_positive_depth_rejected():
-    streams = make_streams(3)
     with pytest.raises(ConfigError):
-        build_client_request(0, 0, wl(n_ms=1, depth=((2, 1.0),)), streams)
+        build_client_request(0, 0, Samplers(wl(n_ms=1, depth=((2, 1.0),)), 3))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_sampled_trees_always_validate(seed):
-    streams = make_streams(seed)
-    model = wl(n_ms=4, depth=((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)), fanout=2)
+    samplers = Samplers(wl(n_ms=4, depth=((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)), fanout=2), seed)
     for rid in range(10):
-        req = build_client_request(rid, rid * 7, model, streams)
+        req = build_client_request(rid, rid * 7, samplers)
         validate_tree(req)
         assert max(node.depth for node in iter_nodes(req)) == req.max_depth
 
@@ -279,12 +424,12 @@ def test_ndtri_matches_scipy_bit_for_bit():
         1.0 - gen.random(20_000) * 0.14,  # upper tail
         10.0 ** -gen.uniform(1, 300, 20_000),  # far tail, z beyond 8
         [0.0, 1.0, 5e-324, 1e-300, math.exp(-32), math.exp(-2), 1 - math.exp(-2),
-         0.5, np.nextafter(0.5, 0), np.nextafter(1.0, 0), -0.1, 1.1],
+         0.5, np.nextafter(0.5, 0), np.nextafter(1.0, 0), -0.1, 1.1, math.nan],
     ])
     want = special.ndtri(ys)
-    got = np.array([ndtri(float(y)) for y in ys])
-    same = (got == want) | (np.isnan(got) & np.isnan(want))
-    assert same.all(), ys[~same][:5]
+    for got in ndtri(ys), np.array([scalar.ndtri(float(y)) for y in ys]):
+        same = (got == want) | (np.isnan(got) & np.isnan(want))
+        assert same.all(), ys[~same][:5]
 
 
 def test_import_does_not_load_scipy():
