@@ -8,7 +8,6 @@ random sampler, so the replayed run reproduces the original byte for byte.
 
 import io
 import math
-from itertools import chain
 
 from mssim import (
     ArrivalModel,
@@ -54,7 +53,7 @@ def csv_of(rows):
 
 def requests_csv(result):
     buf = io.StringIO()
-    write_requests_csv(chain(result.client_records, result.stage_records), buf)
+    write_requests_csv((result.client_records, result.stage_records), buf)
     return buf.getvalue()
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -108,10 +107,10 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(result.report.to_json(), encoding="utf-8")
         with open(out / "requests.csv", "w", encoding="utf-8", newline="") as fp:
-            write_requests_csv(chain(result.client_records, result.stage_records), fp)
+            write_requests_csv((result.client_records, result.stage_records), fp)
         if args.emit_ecdf and result.client_records:
             with open(out / "ecdf_slowdown.csv", "w", encoding="utf-8", newline="") as fp:
-                write_ecdf_csv([r.slowdown for r in result.client_records], fp)
+                write_ecdf_csv(result.client_records.slowdowns(), fp)
         if cfg.trace_out:
             with open(cfg.trace_out, "w", encoding="utf-8", newline="") as fp:
                 write_trace_csv(result.trace_rows, fp)

@@ -5,8 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -52,6 +55,112 @@ class RequestRecord:
     @property
     def slowdown(self) -> float:
         return slowdown(self.completed_at - self.created_at, self.exec)
+
+
+BLOCK = 2048  # rows turned into Python objects at a time
+_EXACT = 2**53  # integers below this are exact as float64
+
+
+class ColumnView(Sequence):
+    """Read-only rows kept as equal-length int64 columns.
+
+    A row object is built only when it is read. Subclasses name their
+    columns in `_fields` and build one row from one Python int per column
+    in `_row`. Views compare equal to any sequence of equal rows.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def columns(self) -> list[Any]:
+        return [getattr(self, name) for name in self._fields]
+
+    def arrays(self) -> list[np.ndarray]:
+        """The columns as int64 numpy arrays, without a copy."""
+        return [np.frombuffer(col, dtype=np.int64) for col in self.columns()]
+
+    def _row(self, *values: int) -> Any:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._fields[0]))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._row, *(col[i].tolist() for col in self.columns())))
+        i = operator.index(i)
+        return self._row(*(int(col[i]) for col in self.columns()))
+
+    def blocks(self) -> Iterator[list[np.ndarray]]:
+        """The columns as int64 arrays, BLOCK rows at a time."""
+        cols = self.arrays()
+        for start in range(0, len(self), BLOCK):
+            yield [col[start:start + BLOCK] for col in cols]
+
+    def __iter__(self) -> Iterator[Any]:
+        for block in self.blocks():
+            yield from map(self._row, *(col.tolist() for col in block))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}: {len(self)} rows>"
+
+
+def _derived(
+    created: np.ndarray, completed: np.ndarray, exec_time: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """total and total / exec per record, equal to Python's int arithmetic on them."""
+    if not len(created) or (created.min() >= 0 and completed.max() < _EXACT):
+        # every total and exec is an exact double, so numpy's division rounds
+        # the exact quotient once, as int / int does
+        total = completed - created
+        return total, total / exec_time
+    total = np.array([c - a for a, c in zip(created.tolist(), completed.tolist())], dtype=object)
+    return total, np.array([t / e for t, e in zip(total.tolist(), exec_time.tolist())])
+
+
+class RecordColumns(ColumnView):
+    """The completed client requests or stages of a run, one int64 column per field."""
+
+    __slots__ = ("scope", "request_id", "created_at", "completed_at", "exec")
+    _fields = ("request_id", "created_at", "completed_at", "exec")
+
+    def __init__(self, scope: str):
+        self.scope = scope  # "client" or "stage"
+        self.request_id, self.created_at, self.completed_at, self.exec = (
+            array("q") for _ in self._fields
+        )
+
+    def append(
+        self, request_id: int, created_at: SimTime, completed_at: SimTime, exec_time: SimTime
+    ) -> None:
+        try:
+            self.request_id.append(request_id)
+            self.created_at.append(created_at)
+            self.completed_at.append(completed_at)
+            self.exec.append(exec_time)
+        except OverflowError:
+            n = len(self.exec)  # appended last, so still the old length
+            for col in self.columns():
+                del col[n:]
+            raise InvalidMetric(
+                f"request {request_id}: a time in ({created_at}, {completed_at}, "
+                f"{exec_time}) us does not fit int64"
+            ) from None
+
+    def _row(self, request_id: int, created_at: int, completed_at: int, exec_time: int) -> RequestRecord:
+        return RequestRecord(request_id, self.scope, created_at, completed_at, exec_time)
+
+    def slowdowns(self) -> np.ndarray:
+        """total / exec per record, as float64."""
+        _, created, completed, exec_time = self.arrays()
+        return _derived(created, completed, exec_time)[1]
 
 
 def utilization(busy_in_window: Sequence[SimTime], window_us: SimTime) -> float:
@@ -148,8 +257,8 @@ class MetricsCollector:
         self._rows_by_ms: dict[MicroserviceId, list[int]] = {}
         for row, inst in sorted(enumerate(self.instance_ids), key=lambda e: e[1].ms):
             self._rows_by_ms.setdefault(inst.ms, []).append(row)
-        self.client_records: list[RequestRecord] = []
-        self.stage_records: list[RequestRecord] = []
+        self.client_records = RecordColumns("client")
+        self.stage_records = RecordColumns("stage")
         # snapshot series: (time, cumulative busy per instance)
         self.util_snapshots: list[tuple[SimTime, list[SimTime]]] = []
         self.imbalance_snapshots: list[tuple[SimTime, list[SimTime]]] = []
@@ -160,17 +269,13 @@ class MetricsCollector:
         self, request_id: int, created_at: SimTime, completed_at: SimTime, exec_time: SimTime
     ) -> None:
         _check_times(completed_at - created_at, exec_time)
-        self.client_records.append(
-            RequestRecord(request_id, "client", created_at, completed_at, exec_time)
-        )
+        self.client_records.append(request_id, created_at, completed_at, exec_time)
 
     def record_stage(
         self, request_id: int, arrived_at: SimTime, completed_at: SimTime, exec_time: SimTime
     ) -> None:
         _check_times(completed_at - arrived_at, exec_time)
-        self.stage_records.append(
-            RequestRecord(request_id, "stage", arrived_at, completed_at, exec_time)
-        )
+        self.stage_records.append(request_id, arrived_at, completed_at, exec_time)
 
     def snapshot(self, kind: str, at: SimTime, busy_cum: list[SimTime]) -> None:
         series = self.util_snapshots if kind == "util" else self.imbalance_snapshots
@@ -224,11 +329,11 @@ class MetricsCollector:
         lb_policy: str,
         queue_policy: str,
     ) -> SimReport:
-        def summary(records: list[RequestRecord]) -> Optional[dict]:
+        def summary(records: RecordColumns) -> Optional[dict]:
             if not records:
                 return None
-            # checked when recorded; int division rounds exactly, as slowdown() does
-            vals = [(r.completed_at - r.created_at) / r.exec for r in records]
+            # checked when recorded; the same doubles slowdown() gives
+            vals = records.slowdowns()
             return {
                 "mean": float(np.mean(vals)),
                 "p50": percentile(vals, 0.50),
@@ -262,14 +367,22 @@ REQUESTS_CSV_HEADER = [
 ]
 
 
-def write_requests_csv(records: Iterable[RequestRecord], fp: io.TextIOBase) -> None:
-    """One row per record; total, wait and slowdown are derived as they are written."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(REQUESTS_CSV_HEADER)
-    for r in records:
-        total = r.completed_at - r.created_at
-        writer.writerow([r.request_id, r.scope, r.created_at, r.completed_at,
-                         total, r.exec, total - r.exec, repr(total / r.exec)])
+def write_requests_csv(sections: Iterable[RecordColumns], fp: io.TextIOBase) -> None:
+    """One row per record, section after section.
+
+    total, wait and slowdown are derived a block at a time as they are
+    written, the slowdown as the repr of its double. No field needs CSV
+    quoting, so rows are formatted directly.
+    """
+    fp.write(",".join(REQUESTS_CSV_HEADER) + "\n")
+    for records in sections:
+        row = f"{{}},{records.scope},{{}},{{}},{{}},{{}},{{}},{{!r}}\n".format
+        for request_id, created, completed, exec_time in records.blocks():
+            total, slow = _derived(created, completed, exec_time)
+            fp.write("".join(map(
+                row, request_id.tolist(), created.tolist(), completed.tolist(),
+                total.tolist(), exec_time.tolist(), (total - exec_time).tolist(), slow.tolist(),
+            )))
 
 
 def write_ecdf_csv(values: Sequence[float], fp: io.TextIOBase) -> None:

@@ -21,7 +21,7 @@ from .gateway import (
     select_least_connection,
 )
 from .instance import InstanceState, QueueKind, assign_deadlines
-from .metrics import MetricsCollector, RequestRecord, SimReport
+from .metrics import MetricsCollector, RecordColumns, SimReport
 from .model import (
     ClientRequest,
     InstanceId,
@@ -29,15 +29,21 @@ from .model import (
     critical_path_exec,
     stage_count,
 )
-from .workload import Samplers, TraceRow, build_client_request
+from .workload import Samplers, TraceColumns, build_client_request
 
 
 @dataclass
 class SimResult:
+    """The report plus read-only sequence views of the recorded rows.
+
+    The views hold int64 columns and build a `RequestRecord` or `TraceRow`
+    only when a row is read.
+    """
+
     report: SimReport
-    client_records: list[RequestRecord]
-    stage_records: list[RequestRecord]
-    trace_rows: list[TraceRow]
+    client_records: RecordColumns
+    stage_records: RecordColumns
+    trace_rows: TraceColumns  # ordered by (timestamp, request_id, hops_done)
 
 
 class Simulation:
@@ -60,7 +66,7 @@ class Simulation:
                 self.registry.register(state)
                 self.instances.append(state)
         self.collector = MetricsCollector([state.id for state in self.instances])
-        self.trace_rows: list[TraceRow] = []
+        self.trace = TraceColumns()
         if collect_trace is None:
             collect_trace = cfg.trace_out is not None
         self.collect_trace = collect_trace
@@ -120,15 +126,8 @@ class Simulation:
         stage.arrival = now  # zero gateway delay
         stage.remaining = stage.exec_time
         if self.collect_trace:
-            self.trace_rows.append(
-                TraceRow(
-                    request_id=stage.request_id,
-                    timestamp=now,
-                    called_ms=stage.target,
-                    exetime=stage.exec_time,
-                    hops_done=stage.depth,
-                    called_by=stage.called_by,
-                )
+            self.trace.append(
+                stage.request_id, now, stage.target, stage.exec_time, stage.depth, stage.called_by
             )
         slice_end = state.enqueue(stage, now)
         if slice_end is not None:
@@ -195,9 +194,7 @@ class Simulation:
             report=report,
             client_records=self.collector.client_records,
             stage_records=self.collector.stage_records,
-            trace_rows=sorted(
-                self.trace_rows, key=lambda r: (r.timestamp, r.request_id, r.hops_done)
-            ),
+            trace_rows=self.trace.ordered(),
         )
 
 

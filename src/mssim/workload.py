@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -19,6 +20,7 @@ import numpy as np
 
 from .engine import RngStream, SimTime
 from .errors import ConfigError, MalformedTrace, ValidationError
+from .metrics import ColumnView
 from .model import ClientRequest, Stage
 
 _PROB_TOL = 1e-9
@@ -173,7 +175,10 @@ def _elementwise(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 def _whole_us(x: np.ndarray) -> list[SimTime]:
     """round_half_up to whole microseconds, floored at 1 us."""
-    return list(map(int, np.maximum(np.floor(x + 0.5), 1.0).tolist()))
+    whole = np.maximum(np.floor(x + 0.5), 1.0)
+    if whole.max() < 2.0**62:  # int64 holds these exactly; NaN and inf fail as int() does
+        return whole.astype(np.int64).tolist()
+    return list(map(int, whole.tolist()))
 
 
 def interarrival_chunk(model: ArrivalModel, u: np.ndarray) -> list[SimTime]:
@@ -432,8 +437,10 @@ class TraceRow:
                 f"request {self.request_id}: hops_done {self.hops_done} with "
                 f"called_by {self.called_by!r}"
             )
-        if self.exetime <= 0:
-            raise MalformedTrace(f"request {self.request_id}: exetime <= 0")
+        if not 0 < self.exetime <= MAX_TIME:  # the bound a config puts on exec times
+            raise MalformedTrace(
+                f"request {self.request_id}: exetime must be > 0 and <= {MAX_TIME} us"
+            )
 
 
 def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
@@ -508,21 +515,66 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
     return requests
 
 
+class TraceColumns(ColumnView):
+    """Trace rows as six int64 columns; `called_by` is -1 where it is None."""
+
+    __slots__ = _fields = tuple(TRACE_HEADER)
+
+    def __init__(self, *columns: Sequence[int]):
+        for name, col in zip(self._fields, columns or [array("q") for _ in TRACE_HEADER]):
+            setattr(self, name, col)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[TraceRow]) -> TraceColumns:
+        cols = cls()
+        for r in rows:
+            if r.called_by is not None and r.called_by < 0:
+                raise MalformedTrace(f"request {r.request_id}: called_by {r.called_by} < 0")
+            cols.append(r.request_id, r.timestamp, r.called_ms, r.exetime, r.hops_done, r.called_by)
+        return cols
+
+    def append(
+        self,
+        request_id: int,
+        timestamp: SimTime,
+        called_ms: int,
+        exetime: SimTime,
+        hops_done: int,
+        called_by: Optional[int],
+    ) -> None:
+        self.request_id.append(request_id)
+        self.timestamp.append(timestamp)
+        self.called_ms.append(called_ms)
+        self.exetime.append(exetime)
+        self.hops_done.append(hops_done)
+        self.called_by.append(-1 if called_by is None else called_by)
+
+    def _row(self, *values: int) -> TraceRow:
+        *head, called_by = values
+        return TraceRow(*head, None if called_by < 0 else called_by)
+
+    def ordered(self) -> TraceColumns:
+        """Rows by (timestamp, request_id, hops_done), ties kept in insertion order."""
+        cols = self.arrays()
+        request_id, timestamp, _, _, hops_done, _ = cols
+        order = np.lexsort((hops_done, request_id, timestamp))  # last key first; stable
+        return TraceColumns(*(col[order] for col in cols))
+
+
 def write_trace_csv(rows: Sequence[TraceRow], fp: io.TextIOBase) -> None:
-    """UTF-8 CSV, `called_by` empty for depth 0, integer microsecond times."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                r.request_id,
-                r.timestamp,
-                r.called_ms,
-                r.exetime,
-                r.hops_done,
-                "" if r.called_by is None else r.called_by,
-            ]
-        )
+    """UTF-8 CSV, `called_by` empty for depth 0, integer microsecond times.
+
+    Written from columns a block at a time; other sequences of rows are
+    turned into columns first. No field needs CSV quoting, so rows are
+    formatted directly.
+    """
+    if not isinstance(rows, TraceColumns):
+        rows = TraceColumns.from_rows(rows)
+    fp.write(",".join(TRACE_HEADER) + "\n")
+    for block in rows.blocks():
+        *head, called_by = (col.tolist() for col in block)
+        called_by = ["" if c < 0 else c for c in called_by]
+        fp.write("".join(map("{},{},{},{},{},{}\n".format, *head, called_by)))
 
 
 def read_trace_csv(fp: io.TextIOBase) -> list[TraceRow]:

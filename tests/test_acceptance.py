@@ -311,7 +311,7 @@ def test_criterion_8_trace_round_trip():
 
     def per_request_csv(result):
         buf = io.StringIO()
-        write_requests_csv(chain(result.client_records, result.stage_records), buf)
+        write_requests_csv((result.client_records, result.stage_records), buf)
         return buf.getvalue()
 
     replayed = run_simulation(

@@ -269,3 +269,21 @@ def test_cli_trace_round_trip(tmp_path):
     assert cli_main(["--config", cfg, "--out", str(out2), "--trace-in", str(trace)]) == 0
     assert (out1 / "requests.csv").read_bytes() == (out2 / "requests.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_cli_completion_past_int64_is_a_runtime_error(tmp_path, capsys):
+    # every bound holds at validation (end_time and exec at most 2**62 us),
+    # but one instance queues exec times of about 2**61.9 us, so the third
+    # completion passes 2**63 - 1 us, which the int64 record columns cannot hold
+    horizon = 2**62
+    doc = dict(
+        SMALL, end_time=horizon, seed=1, arrival={"mean_interarrival": 2**58},
+        exec={"mu": 42.9, "sigma": 0, "unit": "us"}, depth={"0": 1.0}, microservices=[1],
+        routing={"call_probabilities": [1.0]}, communication={"comm_probabilities": [1.0]},
+        utilization_interval=horizon, imbalance_interval=horizon,
+    )
+    cfg = write_config(tmp_path, doc)
+    assert cli_main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: request ") and "does not fit int64" in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import io
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -163,7 +164,54 @@ def test_requests_csv_shape():
     col = MetricsCollector([InstanceId(0, 0)])
     col.record_client(3, 10, 40, 20)
     buf = io.StringIO()
-    write_requests_csv(col.client_records, buf)
+    write_requests_csv([col.client_records], buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "request_id,scope,created_at,completed_at,total_us,exec_us,wait_us,slowdown"
     assert lines[1] == "3,client,10,40,30,20,10,1.5"
+
+
+def test_columns_divide_as_python_past_2_53():
+    # 2**53 + 1 has no double; numpy would divide 2**53 by 3 instead
+    total = 2**53 + 1
+    want = total / 3
+    assert float(total) / 3 != want
+    col = MetricsCollector([InstanceId(0, 0)])
+    col.record_client(0, 0, total, 3)
+    col.record_stage(0, 0, total, 3)
+    assert col.client_records.slowdowns().tolist() == [want]
+    assert col.client_records[0].slowdown == want
+    report = col.finalize_report(total, total, 1, "round_robin", "fcfs")
+    assert report.client_slowdown == report.stage_slowdown == {"mean": want, "p50": want, "p99": want}
+    buf = io.StringIO()
+    write_requests_csv([col.client_records, col.stage_records], buf)
+    assert buf.getvalue().splitlines()[1:] == [
+        f"0,{scope},0,{total},{total},3,{total - 3},{want!r}" for scope in ("client", "stage")
+    ]
+
+
+def test_record_past_int64_is_refused_and_leaves_columns_aligned():
+    col = MetricsCollector([InstanceId(0, 0)])
+    col.record_stage(1, 0, 10, 5)
+    with pytest.raises(InvalidMetric, match="does not fit int64"):
+        col.record_stage(2, 0, 2**63, 5)
+    with pytest.raises(InvalidMetric, match="does not fit int64"):
+        col.record_client(2**63, 0, 10, 5)  # fails on the first column
+    assert [len(c) for c in col.stage_records.columns()] == [1, 1, 1, 1]
+    assert [len(c) for c in col.client_records.columns()] == [0, 0, 0, 0]
+    assert list(col.stage_records) == [RequestRecord(1, "stage", 0, 10, 5)]
+
+
+def test_record_columns_read_as_a_sequence_of_records():
+    col = MetricsCollector([InstanceId(0, 0)])
+    rows = [(i, 10 * i, 10 * i + 7, 1 + i % 7) for i in range(5000)]  # three blocks
+    for row in rows:
+        col.record_stage(*row)
+    want = [RequestRecord(i, "stage", a, c, e) for i, a, c, e in rows]
+    view = col.stage_records
+    assert len(view) == 5000 and view == want and list(view) == want
+    assert view[0] == want[0] and view[-1] == want[-1] and view[4096] == want[4096]
+    assert view[10:20] == want[10:20] and view[::-997] == want[::-997]
+    assert view != want[:-1] and view != col.client_records
+    with pytest.raises(IndexError):
+        operator.getitem(view, 5000)
+    assert view.slowdowns().tolist() == [r.slowdown for r in want]

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 from itertools import chain
 
 import pytest
@@ -9,7 +10,7 @@ from mssim.gateway import LbPolicy
 from mssim.instance import QueueKind, QueuePolicy
 from mssim.metrics import write_requests_csv
 from mssim.model import ClientRequest
-from mssim.simulation import run_simulation
+from mssim.simulation import Simulation, run_simulation
 from mssim.workload import (
     ArrivalModel,
     CommunicationModel,
@@ -41,7 +42,7 @@ def small_cfg(**overrides) -> SimConfig:
 
 def requests_csv(result) -> str:
     buf = io.StringIO()
-    write_requests_csv(chain(result.client_records, result.stage_records), buf)
+    write_requests_csv((result.client_records, result.stage_records), buf)
     return buf.getvalue()
 
 
@@ -176,3 +177,31 @@ def test_utilization_and_imbalance_in_range():
 def test_stage_count_is_at_least_client_count():
     result = run_simulation(small_cfg())
     assert result.report.stage_requests >= result.report.client_requests
+
+
+def test_trace_order_keeps_sibling_ties_as_a_stable_sort():
+    # fan-out 2 at depth 0: both roots of a request are dispatched at the same
+    # time with the same request_id and hops_done, in the order they were drawn
+    cfg = small_cfg(
+        microservices=(1, 1, 1),
+        routing=RoutingModel(call_probabilities=(0.4, 0.3, 0.3), fanout=2),
+        communication=CommunicationModel(comm_probabilities=(0.4, 0.3, 0.3)),
+    )
+    sim = Simulation(cfg, collect_trace=True)
+    result = sim.run()
+    dispatched = list(sim.trace)
+    key = lambda r: (r.timestamp, r.request_id, r.hops_done)
+    assert list(result.trace_rows) == sorted(dispatched, key=key)
+    ties = [(a, b) for a, b in zip(result.trace_rows, result.trace_rows[1:]) if key(a) == key(b)]
+    assert any(a.called_ms > b.called_ms for a, b in ties)  # not in called_ms order
+    assert any(a.called_ms < b.called_ms for a, b in ties)
+
+
+def test_record_columns_hold_at_most_40_bytes_per_record():
+    sim = Simulation(small_cfg(arrival=ArrivalModel(mean_interarrival=1000)))
+    sim.run()
+    views = (sim.collector.client_records, sim.collector.stage_records)
+    records = sum(map(len, views))
+    assert records > 3000
+    held = sum(sys.getsizeof(col) for view in views for col in view.columns())
+    assert held / records <= 40

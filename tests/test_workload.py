@@ -70,6 +70,18 @@ def test_interarrival_mean_matches_model():
     assert abs(np.mean(xs) - 1066) / 1066 < 0.02
 
 
+@pytest.mark.parametrize("mean", [2**56, 2**62], ids=["below-2^62", "past-2^63"])
+def test_whole_us_chunk_matches_scalar_for_huge_gaps(mean):
+    """Both conversions to Python ints: int64 below 2**62, int() of each double above."""
+    model = ArrivalModel(mean)
+    u = [0.0, 1e-300, 2**-53, 0.1, 0.5, 0.86, 0.87, 0.99, 1 - 2**-53]
+    got = interarrival_chunk(model, np.array(u))
+    draw = iter(u).__next__
+    want = [scalar.sample_interarrival(model, draw) for _ in u]
+    assert got == want and all(type(x) is int for x in got)
+    assert (max(got) >= 2**63) == (mean == 2**62) and max(got) > 2**53
+
+
 def test_interarrival_floors_at_one_microsecond():
     assert all(x >= 1 for x in samples(interarrival_chunk, ArrivalModel(1), 3, "arrival", 10_000))
 
@@ -413,6 +425,27 @@ def test_trace_csv_malformed_row_reports_line():
     text = "request_id,timestamp,called_ms,exetime,hops_done,called_by\n0,0,1,10,1,\n"
     with pytest.raises(MalformedTrace, match="line 2"):
         read_trace_csv(io.StringIO(text))
+
+
+def test_trace_csv_exetime_past_2_62_reports_line():
+    text = f"request_id,timestamp,called_ms,exetime,hops_done,called_by\n0,0,1,{2**62 + 1},0,\n"
+    with pytest.raises(MalformedTrace, match="line 2: .*exetime"):
+        read_trace_csv(io.StringIO(text))
+
+
+def test_trace_csv_keeps_the_largest_exetime():
+    text = f"request_id,timestamp,called_ms,exetime,hops_done,called_by\n0,0,1,{2**62},0,\n"
+    rows = read_trace_csv(io.StringIO(text))
+    assert rows == [TraceRow(0, 0, 1, 2**62, 0)]
+    buf = io.StringIO()
+    write_trace_csv(rows, buf)
+    assert buf.getvalue() == text
+
+
+def test_trace_csv_refuses_a_negative_caller():
+    # the trace columns store a missing caller as -1
+    with pytest.raises(MalformedTrace, match="called_by -1"):
+        write_trace_csv([TraceRow(0, 0, 1, 10, 1, called_by=-1)], io.StringIO())
 
 
 def test_ndtri_matches_scipy_bit_for_bit():
