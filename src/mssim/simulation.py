@@ -9,11 +9,12 @@ export of a run replays to the same schedule under identical policies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import workload
 from .config import SimConfig
 from .engine import Engine, SimTime, deliver
+from .errors import MalformedTrace
 from .gateway import (
     LbPolicy,
     Registry,
@@ -71,10 +72,12 @@ class Simulation:
             collect_trace = cfg.trace_out is not None
         self.collect_trace = collect_trace
         self._next_request_id = 0
-        self._replay_iter: Optional[Iterator[ClientRequest]] = None
+        # replayed requests, last to arrive first: each is popped when its
+        # arrival is scheduled, so the simulation holds no tree it has dispatched
+        self._replay: Optional[list[ClientRequest]] = None
         if replay is not None:
-            ordered = sorted(replay, key=lambda r: (r.created_at, r.request_id))
-            self._replay_iter = iter(ordered)
+            self._replay = sorted(replay, key=lambda r: (r.created_at, r.request_id))
+            self._replay.reverse()
             self.samplers = None
         else:
             self.samplers = Samplers(self.workload, cfg.seed)
@@ -84,8 +87,8 @@ class Simulation:
     # -- event handlers --------------------------------------------------------
 
     def _schedule_next_arrival(self, now: SimTime) -> None:
-        if self._replay_iter is not None:
-            req = next(self._replay_iter, None)
+        if self._replay is not None:
+            req = self._replay.pop() if self._replay else None
             if req is not None and req.created_at <= self.cfg.end_time:
                 self.engine.schedule(req.created_at, self._on_arrival, req)
         else:
@@ -198,15 +201,37 @@ class Simulation:
         )
 
 
+def _read_trace_in(cfg: SimConfig) -> list[ClientRequest]:
+    """The requests of `cfg.trace_in`, refused if a row names an undeployed microservice."""
+    # looked up on the module, so that a profiler can wrap them
+    with open(cfg.trace_in, encoding="utf-8") as fp:
+        rows = workload.read_trace_csv(fp)
+    request_id, _, called_ms, _, _, called_by = rows.arrays()
+    n = len(cfg.microservices)
+    undeployed = (called_ms < 0) | (called_ms >= n) | (called_by >= n)
+    if undeployed.any():
+        i = int(undeployed.argmax())
+        ms = called_ms[i] if not 0 <= called_ms[i] < n else called_by[i]
+        raise MalformedTrace(
+            f"request {request_id[i]}: microservice {ms} is not deployed (the config has {n})"
+        )
+    return workload.replay_trace(rows)
+
+
 def run_simulation(
     cfg: SimConfig,
     replay: Optional[Sequence[ClientRequest]] = None,
     collect_trace: Optional[bool] = None,
 ) -> SimResult:
-    """Run one simulation; replay bypasses all workload samplers."""
-    if replay is None and cfg.trace_in is not None:
-        from .workload import read_trace_csv, replay_trace
+    """Run one simulation; replay bypasses all workload samplers.
 
-        with open(cfg.trace_in, encoding="utf-8") as fp:
-            replay = replay_trace(read_trace_csv(fp))
-    return Simulation(cfg, replay=replay, collect_trace=collect_trace).run()
+    Without `replay`, a `cfg.trace_in` file is read and checked before the
+    run.
+    """
+    if replay is None and cfg.trace_in is not None:
+        replay = _read_trace_in(cfg)
+    sim = Simulation(cfg, replay=replay, collect_trace=collect_trace)
+    # the simulation drops each request once it is dispatched; holding the
+    # list here would keep a trace file's trees alive until the run ends
+    replay = None
+    return sim.run()

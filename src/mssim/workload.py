@@ -14,13 +14,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .engine import RngStream, SimTime
 from .errors import ConfigError, MalformedTrace, ValidationError
-from .metrics import ColumnView
+from .metrics import BLOCK, ColumnView
 from .model import ClientRequest, Stage
 
 _PROB_TOL = 1e-9
@@ -422,6 +423,9 @@ def build_client_request(request_id: int, now: SimTime, samplers: Samplers) -> C
 TRACE_HEADER = ["request_id", "timestamp", "called_ms", "exetime", "hops_done", "called_by"]
 
 
+_INT64 = 2**63  # the columns hold values in [-2**63, 2**63)
+
+
 @dataclass(frozen=True, order=True)
 class TraceRow:
     request_id: int
@@ -432,84 +436,97 @@ class TraceRow:
     called_by: Optional[int] = None
 
     def validate(self) -> None:
+        """The checks every row passes before it is replayed."""
+        rid = self.request_id
         if (self.hops_done == 0) != (self.called_by is None):
             raise MalformedTrace(
-                f"request {self.request_id}: hops_done {self.hops_done} with "
-                f"called_by {self.called_by!r}"
+                f"request {rid}: hops_done {self.hops_done} with called_by {self.called_by!r}"
             )
-        if not 0 < self.exetime <= MAX_TIME:  # the bound a config puts on exec times
-            raise MalformedTrace(
-                f"request {self.request_id}: exetime must be > 0 and <= {MAX_TIME} us"
-            )
+        if self.called_by is not None and self.called_by < 0:
+            raise MalformedTrace(f"request {rid}: called_by {self.called_by} < 0")
+        # the bounds a config puts on exec times and end_time
+        if not 0 < self.exetime <= MAX_TIME:
+            raise MalformedTrace(f"request {rid}: exetime must be > 0 and <= {MAX_TIME} us")
+        if not 0 <= self.timestamp <= MAX_TIME:
+            raise MalformedTrace(f"request {rid}: timestamp must be >= 0 and <= {MAX_TIME} us")
+        for name in ("request_id", "called_ms", "hops_done", "called_by"):
+            value = getattr(self, name)
+            if value is not None and not -_INT64 <= value < _INT64:
+                raise MalformedTrace(f"request {rid}: {name} does not fit int64")
 
 
 def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
     """Reconstruct ClientRequests from trace rows; samplers are bypassed.
 
-    Rows of one request must form a forest: roots at hops_done 0, and for
-    every deeper row a unique parent row at hops_done - 1 whose called_ms
-    equals the row's called_by.
+    Takes `TraceColumns`, as `read_trace_csv` returns them, or any sequence
+    of `TraceRow`s, which are checked and turned into columns first. Rows
+    of one request must form a forest: roots at hops_done 0, and for every
+    deeper row a unique parent row at hops_done - 1 whose called_ms equals
+    the row's called_by. One stable sort by (request_id, hops_done,
+    timestamp) puts every parent before its children and fixes the order
+    of siblings, ties in row order.
     """
-    by_request: dict[int, list[TraceRow]] = {}
-    for row in rows:
-        row.validate()
-        by_request.setdefault(row.request_id, []).append(row)
+    if not isinstance(rows, TraceColumns):
+        rows = TraceColumns.from_rows(rows)
+    if not len(rows):
+        return []
+    request_id, timestamp, called_ms, exetime, hops_done, called_by = rows.arrays()
+    order = np.lexsort((timestamp, hops_done, request_id))  # last key first; stable
+    request_id = request_id[order]
+    starts = np.flatnonzero(np.r_[True, request_id[1:] != request_id[:-1]])
+    heads = zip(
+        request_id[starts].tolist(),
+        np.minimum.reduceat(timestamp[order], starts).tolist(),
+        np.diff(np.r_[starts, len(order)]).tolist(),
+    )
+    rows_left = zip(*(col[order].tolist() for col in (called_ms, exetime, hops_done, called_by)))
 
     requests = []
-    for request_id in sorted(by_request):
-        req_rows = sorted(
-            by_request[request_id], key=lambda r: (r.hops_done, r.timestamp)
-        )
-        created_at = min(r.timestamp for r in req_rows)
-        stages_by_depth: dict[int, list[Stage]] = {}
+    for rid, created_at, size in heads:
         roots: list[Stage] = []
-        # exec summed along the path from the root, per stage (rows come parents first)
-        path_exec: dict[int, SimTime] = {}
-        for row in req_rows:
-            stage = Stage(request_id, row.called_ms, row.exetime, row.hops_done, row.called_by)
-            if row.hops_done == 0:
+        crit_exec = 0
+        # microservice -> (stage, exec summed from the root) of the rows at
+        # depth - 1 and at depth; None where two rows of a level share one
+        above: dict[int, Optional[tuple[Stage, SimTime]]] = {}
+        level: dict[int, Optional[tuple[Stage, SimTime]]] = {}
+        depth = -1
+        for target, exec_time, hops, caller in islice(rows_left, size):
+            if hops != depth:
+                above, level, depth = level if hops == depth + 1 else {}, {}, hops
+            if hops == 0:
+                stage = Stage(rid, target, exec_time, 0)
                 roots.append(stage)
-                path_exec[id(stage)] = row.exetime
+                path = exec_time
             else:
-                if row.called_by == row.called_ms:
+                if caller == target:
+                    raise MalformedTrace(f"request {rid}: self-call edge at hops {hops}")
+                entry = above.get(caller)
+                if entry is None:
+                    problem = "ambiguous parent" if caller in above else "no parent"
                     raise MalformedTrace(
-                        f"request {request_id}: self-call edge at hops {row.hops_done}"
+                        f"request {rid}: {problem} for hops {hops} called_by {caller}"
                     )
-                parents = [
-                    p
-                    for p in stages_by_depth.get(row.hops_done - 1, [])
-                    if p.target == row.called_by
-                ]
-                if not parents:
-                    raise MalformedTrace(
-                        f"request {request_id}: no parent for hops {row.hops_done} "
-                        f"called_by {row.called_by}"
-                    )
-                if len(parents) > 1:
-                    raise MalformedTrace(
-                        f"request {request_id}: ambiguous parent for hops "
-                        f"{row.hops_done} called_by {row.called_by}"
-                    )
-                parent = parents[0]
+                parent, path = entry
+                path += exec_time
+                stage = Stage(rid, target, exec_time, hops, caller)
                 if parent.children:
                     parent.children.append(stage)
                 else:  # leaves share the empty tuple until their first child
                     parent.children = [stage]
-                path_exec[id(stage)] = path_exec[id(parent)] + row.exetime
-            stages_by_depth.setdefault(row.hops_done, []).append(stage)
+            level[target] = None if target in level else (stage, path)
+            if path > crit_exec:  # exec > 0, so the longest path ends at a leaf
+                crit_exec = path
         if not roots:
-            raise MalformedTrace(f"request {request_id}: no depth-0 row")
-        max_depth = max(r.hops_done for r in req_rows)
+            raise MalformedTrace(f"request {rid}: no depth-0 row")
         requests.append(
             ClientRequest(
-                request_id=request_id,
+                request_id=rid,
                 created_at=created_at,
                 sla=0,  # SLA comes from the run config, not the trace
-                max_depth=max_depth,
+                max_depth=depth,  # rows come by hops_done
                 root_stages=roots,
-                stages=len(req_rows),
-                # exec > 0, so the longest path ends at a leaf
-                crit_exec=max(path_exec.values()),
+                stages=size,
+                crit_exec=crit_exec,
             )
         )
     return requests
@@ -526,10 +543,10 @@ class TraceColumns(ColumnView):
 
     @classmethod
     def from_rows(cls, rows: Sequence[TraceRow]) -> TraceColumns:
+        """Columns of rows that each pass `TraceRow.validate`."""
         cols = cls()
         for r in rows:
-            if r.called_by is not None and r.called_by < 0:
-                raise MalformedTrace(f"request {r.request_id}: called_by {r.called_by} < 0")
+            r.validate()
             cols.append(r.request_id, r.timestamp, r.called_ms, r.exetime, r.hops_done, r.called_by)
         return cols
 
@@ -577,28 +594,67 @@ def write_trace_csv(rows: Sequence[TraceRow], fp: io.TextIOBase) -> None:
         fp.write("".join(map("{},{},{},{},{},{}\n".format, *head, called_by)))
 
 
-def read_trace_csv(fp: io.TextIOBase) -> list[TraceRow]:
+def _checked_block(block: list[list[str]]) -> Optional[list[array]]:
+    """The block's rows as six int64 columns, or None if one fails a row check.
+
+    Fields are parsed with `int`, as `_append_records` does, and the checks
+    of `TraceRow.validate` are made on the whole block at once.
+    """
+    records = list(filter(None, block))  # blank records hold no row
+    if set(map(len, records)) != {len(TRACE_HEADER)}:
+        return None
+    *head, called_by = zip(*records)
+    try:
+        cols = [array("q", map(int, fields)) for fields in head]
+        cols.append(array("q", [int(c) if c else -1 for c in called_by]))
+    except (ValueError, OverflowError):  # not an integer, or past int64
+        return None
+    _, timestamp, _, exetime, hops_done, caller = (np.frombuffer(c, np.int64) for c in cols)
+    no_caller = caller < 0
+    ok = (
+        np.count_nonzero(no_caller) == called_by.count("")  # no negative caller given
+        and np.array_equal(hops_done == 0, no_caller)
+        and ((exetime > 0) & (exetime <= MAX_TIME)).all()
+        and ((timestamp >= 0) & (timestamp <= MAX_TIME)).all()
+    )
+    return cols if ok else None
+
+
+def _append_records(cols: TraceColumns, block: list[list[str]], lineno: int) -> None:
+    """Check and append a block record by record; `lineno` is its first record's line."""
+    for lineno, rec in enumerate(block, start=lineno):
+        if not rec:
+            continue
+        try:
+            if len(rec) != len(TRACE_HEADER):
+                raise ValueError(f"expected 6 fields, got {len(rec)}")
+            *head, called_by = rec
+            values = [*map(int, head), None if called_by == "" else int(called_by)]
+            TraceRow(*values).validate()
+        except (ValueError, MalformedTrace) as e:
+            raise MalformedTrace(f"line {lineno}: {e}") from e
+        cols.append(*values)
+
+
+def read_trace_csv(fp: io.TextIOBase) -> TraceColumns:
+    """The rows of a trace CSV as columns, each row checked as `TraceRow.validate` does.
+
+    Records are read BLOCK at a time. A block with a bad record is read
+    again record by record, so the error names the line of the first one
+    (counted in CSV records, blank ones included, the header being line 1).
+    """
     reader = csv.reader(fp)
     header = next(reader, None)
     if header != TRACE_HEADER:
         raise MalformedTrace(f"bad trace header: {header!r}")
-    rows = []
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        if len(rec) != 6:
-            raise MalformedTrace(f"line {lineno}: expected 6 fields, got {len(rec)}")
-        try:
-            row = TraceRow(
-                request_id=int(rec[0]),
-                timestamp=int(rec[1]),
-                called_ms=int(rec[2]),
-                exetime=int(rec[3]),
-                hops_done=int(rec[4]),
-                called_by=None if rec[5] == "" else int(rec[5]),
-            )
-            row.validate()
-        except (ValueError, MalformedTrace) as e:
-            raise MalformedTrace(f"line {lineno}: {e}") from e
-        rows.append(row)
-    return rows
+    cols = TraceColumns()
+    lineno = 2
+    while block := list(islice(reader, BLOCK)):
+        checked = _checked_block(block)
+        if checked is None:
+            _append_records(cols, block, lineno)
+        else:
+            for col, new in zip(cols.columns(), checked):
+                col.extend(new)
+        lineno += len(block)
+    return cols

@@ -17,14 +17,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import json, sys
-bench, src, config, out = sys.argv[1:]
+bench, src, *argv = sys.argv[1:]
 sys.path[:0] = [bench, src]
 import tracer
 spans = tracer.Tracer()
 tracer.install(spans)
 from mssim.cli import cli_main
-rc = cli_main(["--config", config, "--out", out])
-print(json.dumps({"rc": rc, "counts": spans.by_name()[1]}))
+rc = cli_main(argv)
+print(json.dumps({"rc": rc, "counts": spans.by_name()[1], "counters": spans.counters}))
 """
 
 
@@ -37,8 +37,7 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("queue_policy,lb_policy,spans", RUNS.values(), ids=RUNS.keys())
-def test_tracer_installs_and_records_every_layer(tmp_path, queue_policy, lb_policy, spans):
+def write_config(tmp_path, queue_policy, lb_policy):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "end_time": "50ms",
@@ -51,13 +50,37 @@ def test_tracer_installs_and_records_every_layer(tmp_path, queue_policy, lb_poli
         "lb_policy": lb_policy,
         "drain": True,
     }), encoding="utf-8")
+    return str(config)
+
+
+def traced_run(*argv):
+    """Run the CLI under the tracer in a subprocess; its span counts and counters."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src"),
-         str(config), str(tmp_path / "out")],
+        [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src"), *argv],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["rc"] == 0
+    return result
+
+
+@pytest.mark.parametrize("queue_policy,lb_policy,spans", RUNS.values(), ids=RUNS.keys())
+def test_tracer_installs_and_records_every_layer(tmp_path, queue_policy, lb_policy, spans):
+    config = write_config(tmp_path, queue_policy, lb_policy)
+    result = traced_run("--config", config, "--out", str(tmp_path / "out"))
     for span in spans:
         assert result["counts"].get(span, 0) > 0, span
+
+
+def test_tracer_records_trace_read_and_replay(tmp_path):
+    config = write_config(tmp_path, "exds", "least_connection")
+    trace = tmp_path / "trace.csv"
+    written = traced_run("--config", config, "--out", str(tmp_path / "o1"), "--trace-out", str(trace))
+    assert written["counts"].get("workload.trace_write", 0) == 1
+    rows = len(trace.read_text(encoding="utf-8").splitlines()) - 1
+    assert rows > 0
+    result = traced_run("--config", config, "--out", str(tmp_path / "o2"), "--trace-in", str(trace))
+    assert result["counts"].get("workload.trace_read", 0) == 1
+    assert result["counts"].get("workload.trace_replay", 0) == 1
+    assert result["counters"].get("workload.trace_rows") == rows

@@ -261,6 +261,30 @@ def test_cli_malformed_trace_in_exits_1(tmp_path):
     assert rc == 1
 
 
+# row id -> (second trace row, start of the error the CLI prints)
+TRACE_REFUSALS = {
+    "negative-timestamp": ("1,-100,0,1000,0,", "line 3: request 1: timestamp must be >= 0"),
+    "timestamp-past-int64": (f"1,{2**63},0,1000,0,", "line 3: request 1: timestamp must be"),
+    "request-id-past-int64": (f"{2**63},0,0,1000,0,", f"line 3: request {2**63}: request_id does not fit"),
+    "undeployed-microservice": ("1,5,2,1000,0,", "request 1: microservice 2 is not deployed"),
+    "undeployed-caller": ("0,5,0,1000,1,7", "request 0: microservice 7 is not deployed"),
+}
+
+
+@pytest.mark.parametrize("row,error", TRACE_REFUSALS.values(), ids=TRACE_REFUSALS)
+def test_cli_refuses_a_bad_trace_row_before_the_run(tmp_path, capsys, row, error):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        f"request_id,timestamp,called_ms,exetime,hops_done,called_by\n0,0,1,1000,0,\n{row}\n",
+        encoding="utf-8",
+    )
+    cfg = write_config(tmp_path, SMALL)  # two microservices
+    rc = cli_main(["--config", cfg, "--trace-in", str(trace), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"config error: {error}"), err
+
+
 def test_cli_trace_round_trip(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     trace = tmp_path / "trace.csv"

@@ -4,6 +4,8 @@ Determinism is the product: any change to `report.json`, `requests.csv`
 or the `--trace-out` CSV shows up here and has to be declared. The pinned
 values were computed at the commit before the flat `QueueKind` and the
 table-driven config parser, and must hold unchanged across refactors.
+The digests of the `exds-lc` trace replayed through `--trace-in` were
+computed at the commit before the columnar trace reader and replay.
 Remake them only for a declared output change.
 
 The configs are the desk-scale experiment workload of
@@ -60,16 +62,38 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_artifact_digests_are_pinned(tmp_path, name):
-    policies, pinned = CASES[name]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(EXPERIMENT, **policies)), encoding="utf-8")
-    out = tmp_path / "out"
-    trace = tmp_path / "trace.csv"
-    argv = ["--config", str(config), "--out", str(out), "--trace-out", str(trace)]
+# the artifacts of replaying the exds-lc case's trace.csv under the same config
+REPLAYED_EXDS_LC = {
+    "report.json": "3b66b37b50da3fe29989b070ce9d086efb498170f87ef3c3c447cdd7b8084e72",
+    "requests.csv": "4d7dcb31cb698bcb6e2f51f7d748362c46bcf7bd2b223b9834082b4d8ecb51cf",
+    "trace.csv": "12341343b6c0f276ce7b4a1854af6b6351a9f3ad334aee8dcf03880746083ed9",
+}
+
+
+def run_and_digest(config, out, *flags):
+    """Run the CLI with `config`; the digests of report.json, requests.csv and out/trace.csv."""
+    trace = out / "trace.csv"
+    argv = ["--config", str(config), "--out", str(out), "--trace-out", str(trace), *flags]
     assert cli_main(argv) == 0
     paths = {"report.json": out / "report.json", "requests.csv": out / "requests.csv",
              "trace.csv": trace}
-    digests = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
-    assert digests == pinned
+    return {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
+
+
+def write_case_config(tmp_path, name):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(EXPERIMENT, **CASES[name][0])), encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifact_digests_are_pinned(tmp_path, name):
+    config = write_case_config(tmp_path, name)
+    assert run_and_digest(config, tmp_path / "out") == CASES[name][1]
+
+
+def test_replayed_trace_digests_are_pinned(tmp_path):
+    config = write_case_config(tmp_path, "exds-lc")
+    run_and_digest(config, tmp_path / "sampled")
+    replay = ["--trace-in", str(tmp_path / "sampled" / "trace.csv")]
+    assert run_and_digest(config, tmp_path / "replayed", *replay) == REPLAYED_EXDS_LC

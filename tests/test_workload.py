@@ -36,6 +36,7 @@ from mssim.workload import (
     write_trace_csv,
 )
 
+import row_replay
 import scalar_sampling as scalar
 
 
@@ -375,9 +376,87 @@ def test_export_replay_export_is_identity():
     assert rows2 == rows
 
 
+def replay_shape(requests):
+    """The requests as nested tuples: ids, times and counts, then every stage in child order."""
+    def stage(s):
+        return (s.request_id, s.target, s.exec_time, s.depth, s.called_by, [*map(stage, s.children)])
+    return [
+        (r.request_id, r.created_at, r.sla, r.max_depth, r.stages, r.crit_exec,
+         [*map(stage, r.root_stages)])
+        for r in requests
+    ]
+
+
+def assert_replays_like_the_row_oracle(rows):
+    """The columnar replay builds the trees the row replay builds, or raises its error."""
+    try:
+        want = row_replay.replay_trace(rows)
+    except MalformedTrace as e:
+        with pytest.raises(MalformedTrace) as got:
+            replay_trace(rows)
+        assert str(got.value) == str(e)
+        return None
+    got = replay_trace(rows)
+    assert replay_shape(got) == replay_shape(want)
+    for req in got:  # one request_id object per request
+        assert all(s.request_id is req.request_id for s in iter_nodes(req))
+    return got
+
+
+@st.composite
+def trace_forests(draw):
+    """Rows of a few requests, fan-out up to 3, shuffled, often with one defect."""
+    rows = []
+    for rid in draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True)):
+        stack = [(draw(st.integers(0, 11)), 0, None) for _ in range(draw(st.integers(1, 3)))]
+        while stack:
+            ms, hops, caller = stack.pop()
+            # few distinct timestamps, so rows of one level often tie
+            rows.append(TraceRow(rid, draw(st.integers(0, 2)), ms, draw(st.integers(1, 9)), hops, caller))
+            if hops < 2:
+                others = [m for m in range(12) if m != ms]
+                stack.extend((draw(st.sampled_from(others)), hops + 1, ms)
+                             for _ in range(draw(st.integers(0, 3))))
+    rows = list(draw(st.permutations(rows)))
+    i = draw(st.integers(0, len(rows) - 1))
+    r = rows[i]
+    defect = draw(st.sampled_from(
+        ["none", "none", "drop", "dup", "gap", "self", "root caller", "no caller", "exec 0"]))
+    if defect == "drop":
+        del rows[i]
+    elif defect == "dup":
+        rows.insert(draw(st.integers(0, len(rows))), r)
+    elif defect == "gap":
+        rows[i] = TraceRow(r.request_id, r.timestamp, r.called_ms, r.exetime, r.hops_done + 1,
+                           r.called_by if r.hops_done else 0)
+    elif defect == "self" and r.hops_done:
+        rows[i] = TraceRow(r.request_id, r.timestamp, r.called_ms, r.exetime, r.hops_done,
+                           r.called_ms)
+    elif defect == "root caller":
+        rows[i] = TraceRow(r.request_id, r.timestamp, r.called_ms, r.exetime, 0, 1)
+    elif defect == "no caller":
+        rows[i] = TraceRow(r.request_id, r.timestamp, r.called_ms, r.exetime, 1, None)
+    elif defect == "exec 0":
+        rows[i] = TraceRow(r.request_id, r.timestamp, r.called_ms, 0, r.hops_done, r.called_by)
+    return rows
+
+
+@given(trace_forests())
+@settings(max_examples=300, deadline=None)
+def test_replay_matches_the_row_oracle_on_random_forests(rows):
+    assert_replays_like_the_row_oracle(rows)
+
+
+def test_replay_matches_the_row_oracle_on_a_recorded_trace():
+    rows = run_trace(9, 50_000)
+    assert len(assert_replays_like_the_row_oracle(list(rows))) > 20
+
+
 def test_replay_orphan_edge_rejected():
-    with pytest.raises(MalformedTrace):
-        replay_trace([TraceRow(0, 0, called_ms=1, exetime=10, hops_done=1, called_by=None)])
+    rows = [TraceRow(0, 0, called_ms=1, exetime=10, hops_done=1, called_by=None)]
+    assert_replays_like_the_row_oracle(rows)
+    with pytest.raises(MalformedTrace, match="hops_done 1 with called_by None"):
+        replay_trace(rows)
 
 
 def test_replay_depth_gap_rejected():
@@ -385,7 +464,8 @@ def test_replay_depth_gap_rejected():
         TraceRow(0, 0, called_ms=0, exetime=10, hops_done=0),
         TraceRow(0, 0, called_ms=2, exetime=10, hops_done=2, called_by=0),
     ]
-    with pytest.raises(MalformedTrace):
+    assert_replays_like_the_row_oracle(rows)
+    with pytest.raises(MalformedTrace, match="no parent for hops 2 called_by 0"):
         replay_trace(rows)
 
 
@@ -394,7 +474,8 @@ def test_replay_self_call_rejected():
         TraceRow(0, 0, called_ms=0, exetime=10, hops_done=0),
         TraceRow(0, 0, called_ms=1, exetime=10, hops_done=1, called_by=1),
     ]
-    with pytest.raises(MalformedTrace):
+    assert_replays_like_the_row_oracle(rows)
+    with pytest.raises(MalformedTrace, match="self-call edge at hops 1"):
         replay_trace(rows)
 
 
@@ -404,7 +485,8 @@ def test_replay_ambiguous_parent_rejected():
         TraceRow(0, 0, called_ms=1, exetime=10, hops_done=0),
         TraceRow(0, 0, called_ms=2, exetime=10, hops_done=1, called_by=1),
     ]
-    with pytest.raises(MalformedTrace):
+    assert_replays_like_the_row_oracle(rows)
+    with pytest.raises(MalformedTrace, match="ambiguous parent for hops 1 called_by 1"):
         replay_trace(rows)
 
 
@@ -425,6 +507,54 @@ def test_trace_csv_malformed_row_reports_line():
     text = "request_id,timestamp,called_ms,exetime,hops_done,called_by\n0,0,1,10,1,\n"
     with pytest.raises(MalformedTrace, match="line 2"):
         read_trace_csv(io.StringIO(text))
+
+
+HEADER = "request_id,timestamp,called_ms,exetime,hops_done,called_by"
+
+# name -> (bad record, part of the error after "line N: ")
+BAD_RECORDS = {
+    "not-an-int": ("0,x,1,10,0,", "invalid literal for int"),
+    "five-fields": ("0,0,1,10,0", "expected 6 fields, got 5"),
+    "exetime-0": ("0,0,1,0,0,", "exetime must be > 0"),
+    "negative-timestamp": ("0,-1,1,10,0,", "timestamp must be >= 0"),
+    "past-int64": (f"{2**63},0,1,10,0,", "request_id does not fit int64"),
+    "root-with-caller": ("0,0,1,10,0,2", "hops_done 0 with called_by 2"),
+    "root-with-caller--1": ("0,0,1,10,0,-1", "hops_done 0 with called_by -1"),
+    "negative-caller": ("0,0,1,10,1,-1", "called_by -1 < 0"),
+}
+
+
+def one_row_requests(n):
+    """n valid trace records, one depth-0 request each, and their rows."""
+    rows = [TraceRow(k, 3 * k, k % 3, k + 1, 0) for k in range(n)]
+    return [f"{r.request_id},{r.timestamp},{r.called_ms},{r.exetime},0," for r in rows], rows
+
+
+@pytest.mark.parametrize("at", [3, 2046, 2047, 2048, 2500])
+@pytest.mark.parametrize("bad", BAD_RECORDS)
+def test_trace_csv_names_the_line_of_the_first_bad_record(bad, at):
+    # blank records count as lines, before and after the first block's end
+    # (records 2 to 2049); a second bad record comes later
+    records, _ = one_row_requests(3000)
+    for k in (1, 2000, 2050):
+        records.insert(k, "")
+    records.insert(at, BAD_RECORDS[bad][0])
+    records.insert(2900, BAD_RECORDS[bad][0])
+    text = "\n".join([HEADER, *records]) + "\n"
+    with pytest.raises(MalformedTrace, match=f"^line {at + 2}: .*{BAD_RECORDS[bad][1]}"):
+        read_trace_csv(io.StringIO(text))
+
+
+def test_trace_csv_reads_across_blocks_and_blank_records():
+    records, rows = one_row_requests(5000)
+    for k in (0, 2047, 2048, 4000):
+        records.insert(k, "")
+    # a whole block of blank records, then the rest
+    records[3000:3000] = [""] * 2048
+    text = "\n".join([HEADER, *records]) + "\n\n"
+    got = read_trace_csv(io.StringIO(text))
+    assert len(got) == len(rows)
+    assert got == rows
 
 
 def test_trace_csv_exetime_past_2_62_reports_line():
