@@ -16,10 +16,8 @@ from mssim import (
     DepthModel,
     ExecModel,
     ExecUnit,
-    Mg1Params,
     RoutingModel,
     SimConfig,
-    mg1_fcfs_mean_wait,
     run_simulation,
 )
 
@@ -42,7 +40,9 @@ cfg = SimConfig(
 result = run_simulation(cfg)
 waits = [r.wait for r in result.stage_records]
 
-predicted = mg1_fcfs_mean_wait(Mg1Params(lam=1 / gap, es=exe, es2=float(exe) ** 2))
+# Pollaczek-Khinchine: W = lambda E[S^2] / (2 (1 - rho)), with rho = lambda E[S]
+lam, es, es2 = 1 / gap, exe, float(exe) ** 2
+predicted = lam * es2 / (2 * (1 - lam * es))
 observed = float(np.mean(waits))
 
 print(f"requests served : {len(waits)}")

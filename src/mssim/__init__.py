@@ -9,14 +9,11 @@ from .metrics import (
     SimReport,
     ecdf,
     imbalance,
-    ks_distance,
     percentile,
     slowdown,
-    utilization,
     write_ecdf_csv,
     write_requests_csv,
 )
-from .oracle import Mg1Params, OracleStage, brute_force_schedule, mg1_fcfs_mean_wait
 from .simulation import SimResult, Simulation, run_simulation
 from .workload import (
     ArrivalModel,
@@ -39,8 +36,6 @@ __all__ = [
     "ExecModel",
     "ExecUnit",
     "LbPolicy",
-    "Mg1Params",
-    "OracleStage",
     "QueueKind",
     "QueuePolicy",
     "Registry",
@@ -52,18 +47,14 @@ __all__ = [
     "SimResult",
     "Simulation",
     "WorkloadModel",
-    "brute_force_schedule",
     "ecdf",
     "imbalance",
-    "ks_distance",
     "load_config",
-    "mg1_fcfs_mean_wait",
     "percentile",
     "read_trace_csv",
     "replay_trace",
     "run_simulation",
     "slowdown",
-    "utilization",
     "write_ecdf_csv",
     "write_requests_csv",
     "write_trace_csv",

@@ -29,10 +29,6 @@ class ValidationError(ConfigError):
         self.reason = reason
 
 
-class InvalidRequest(SimError):
-    """A client request tree violates a structural invariant."""
-
-
 class MalformedTrace(SimError):
     """A trace file or row set cannot be reconstructed into requests."""
 
@@ -51,10 +47,6 @@ class WrongTarget(SimError):
 
 class InvalidMetric(SimError):
     """A metric was computed from impossible inputs."""
-
-
-class UnstableSystem(SimError):
-    """Queueing formula requested for an unstable system (rho >= 1)."""
 
 
 class EmptyInput(SimError):

@@ -163,13 +163,6 @@ class RecordColumns(ColumnView):
         return _derived(created, completed, exec_time)[1]
 
 
-def utilization(busy_in_window: Sequence[SimTime], window_us: SimTime) -> float:
-    """Sum of instance busy time in the window / (window length x instance count)."""
-    if window_us <= 0 or not busy_in_window:
-        raise InvalidMetric("utilization needs a non-empty window and instance set")
-    return float(sum(busy_in_window)) / (window_us * len(busy_in_window))
-
-
 def imbalance(per_interval_utils: np.ndarray) -> float:
     """Mean over intervals of the population std of per-instance utilization.
 
@@ -198,18 +191,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     if len(values) == 0:
         raise EmptyInput("percentile of empty input")
     return float(np.quantile(np.asarray(values, dtype=float), q, method="inverted_cdf"))
-
-
-def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Kolmogorov distance between two empirical distributions."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise EmptyInput("ks distance of empty sample")
-    xs = np.concatenate([a, b])
-    fa = np.searchsorted(a, xs, side="right") / a.size
-    fb = np.searchsorted(b, xs, side="right") / b.size
-    return float(np.abs(fa - fb).max())
 
 
 @dataclass

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .engine import SimTime
-from .errors import InvalidRequest
 
 MicroserviceId = int  # 0-based index into the configured microservice list
 
@@ -89,39 +88,3 @@ def critical_path_exec(req: ClientRequest) -> SimTime:
         elif path > best:
             best = path
     return best
-
-
-def validate_tree(req: ClientRequest) -> None:
-    """Reject trees violating the depth / self-call / caller invariants."""
-    if not req.root_stages:
-        raise InvalidRequest(f"request {req.request_id}: empty call tree")
-    stack: list[tuple[Stage, Optional[Stage]]] = [
-        (root, None) for root in reversed(req.root_stages)
-    ]
-    while stack:
-        st, parent = stack.pop()
-        if st.exec_time <= 0:
-            raise InvalidRequest(f"request {req.request_id}: exec_time <= 0")
-        if parent is None:
-            if st.depth != 0 or st.called_by is not None:
-                raise InvalidRequest(
-                    f"request {req.request_id}: root stage must have depth 0 and no caller"
-                )
-        else:
-            if st.depth != parent.depth + 1:
-                raise InvalidRequest(
-                    f"request {req.request_id}: child depth {st.depth} != parent depth + 1"
-                )
-            if st.called_by != parent.target:
-                raise InvalidRequest(
-                    f"request {req.request_id}: called_by does not match parent target"
-                )
-            if st.target == parent.target:
-                raise InvalidRequest(
-                    f"request {req.request_id}: microservice {st.target} calls itself"
-                )
-        if st.depth > req.max_depth:
-            raise InvalidRequest(
-                f"request {req.request_id}: depth {st.depth} exceeds max_depth {req.max_depth}"
-            )
-        stack.extend((child, st) for child in reversed(st.children))

@@ -11,7 +11,7 @@ import io
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from functools import partial
 from itertools import islice
@@ -421,12 +421,10 @@ def build_client_request(request_id: int, now: SimTime, samplers: Samplers) -> C
 # --- trace replay and CSV I/O ---------------------------------------------
 
 TRACE_HEADER = ["request_id", "timestamp", "called_ms", "exetime", "hops_done", "called_by"]
-
-
 _INT64 = 2**63  # the columns hold values in [-2**63, 2**63)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class TraceRow:
     request_id: int
     timestamp: SimTime
@@ -435,24 +433,33 @@ class TraceRow:
     hops_done: int
     called_by: Optional[int] = None
 
-    def validate(self) -> None:
-        """The checks every row passes before it is replayed."""
-        rid = self.request_id
-        if (self.hops_done == 0) != (self.called_by is None):
-            raise MalformedTrace(
-                f"request {rid}: hops_done {self.hops_done} with called_by {self.called_by!r}"
-            )
-        if self.called_by is not None and self.called_by < 0:
-            raise MalformedTrace(f"request {rid}: called_by {self.called_by} < 0")
-        # the bounds a config puts on exec times and end_time
-        if not 0 < self.exetime <= MAX_TIME:
-            raise MalformedTrace(f"request {rid}: exetime must be > 0 and <= {MAX_TIME} us")
-        if not 0 <= self.timestamp <= MAX_TIME:
-            raise MalformedTrace(f"request {rid}: timestamp must be >= 0 and <= {MAX_TIME} us")
-        for name in ("request_id", "called_ms", "hops_done", "called_by"):
-            value = getattr(self, name)
-            if value is not None and not -_INT64 <= value < _INT64:
-                raise MalformedTrace(f"request {rid}: {name} does not fit int64")
+
+# The rules a trace row must pass, as (reason, test that is true where a row
+# breaks the rule). Tests run on int64 columns or on one row's Python ints, with
+# called_by -1 where `given` is false; the time bounds are those of a config.
+_ROW_RULES = (
+    ("hops_done {hops_done} with called_by {called_by!r}",
+     lambda hops_done, given, **_: (hops_done == 0) == given),
+    ("called_by {called_by} < 0", lambda called_by, given, **_: given & (called_by < 0)),
+    (f"exetime must be > 0 and <= {MAX_TIME} us",
+     lambda exetime, **_: (exetime <= 0) | (exetime > MAX_TIME)),
+    (f"timestamp must be >= 0 and <= {MAX_TIME} us",
+     lambda timestamp, **_: (timestamp < 0) | (timestamp > MAX_TIME)),
+)
+
+
+def _checked_row(values: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
+    """The values of one row, refused by its first broken rule, then if one is past int64."""
+    row = dict(zip(TRACE_HEADER, values))
+    given = row["called_by"] is not None
+    cols = dict(row, called_by=row["called_by"] if given else -1, given=given)
+    for reason, broken in _ROW_RULES:
+        if broken(**cols):
+            raise MalformedTrace(f"request {row['request_id']}: " + reason.format(**row))
+    for name, value in row.items():
+        if value is not None and not -_INT64 <= value < _INT64:
+            raise MalformedTrace(f"request {row['request_id']}: {name} does not fit int64")
+    return values
 
 
 def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
@@ -516,8 +523,6 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
             level[target] = None if target in level else (stage, path)
             if path > crit_exec:  # exec > 0, so the longest path ends at a leaf
                 crit_exec = path
-        if not roots:
-            raise MalformedTrace(f"request {rid}: no depth-0 row")
         requests.append(
             ClientRequest(
                 request_id=rid,
@@ -543,11 +548,10 @@ class TraceColumns(ColumnView):
 
     @classmethod
     def from_rows(cls, rows: Sequence[TraceRow]) -> TraceColumns:
-        """Columns of rows that each pass `TraceRow.validate`."""
+        """Columns of rows that each pass the row rules."""
         cols = cls()
         for r in rows:
-            r.validate()
-            cols.append(r.request_id, r.timestamp, r.called_ms, r.exetime, r.hops_done, r.called_by)
+            cols.append(*_checked_row(astuple(r)))
         return cols
 
     def append(
@@ -597,8 +601,8 @@ def write_trace_csv(rows: Sequence[TraceRow], fp: io.TextIOBase) -> None:
 def _checked_block(block: list[list[str]]) -> Optional[list[array]]:
     """The block's rows as six int64 columns, or None if one fails a row check.
 
-    Fields are parsed with `int`, as `_append_records` does, and the checks
-    of `TraceRow.validate` are made on the whole block at once.
+    Fields are parsed with `int`, as `_append_records` does, and the row
+    rules are applied to the whole block at once.
     """
     records = list(filter(None, block))  # blank records hold no row
     if set(map(len, records)) != {len(TRACE_HEADER)}:
@@ -609,15 +613,11 @@ def _checked_block(block: list[list[str]]) -> Optional[list[array]]:
         cols.append(array("q", [int(c) if c else -1 for c in called_by]))
     except (ValueError, OverflowError):  # not an integer, or past int64
         return None
-    _, timestamp, _, exetime, hops_done, caller = (np.frombuffer(c, np.int64) for c in cols)
-    no_caller = caller < 0
-    ok = (
-        np.count_nonzero(no_caller) == called_by.count("")  # no negative caller given
-        and np.array_equal(hops_done == 0, no_caller)
-        and ((exetime > 0) & (exetime <= MAX_TIME)).all()
-        and ((timestamp >= 0) & (timestamp <= MAX_TIME)).all()
-    )
-    return cols if ok else None
+    arrays = dict(zip(TRACE_HEADER, (np.frombuffer(c, np.int64) for c in cols)))
+    given = arrays["called_by"] != -1  # unless a -1 was given, which reads as none
+    minus_one_given = called_by.count("") != len(given) - np.count_nonzero(given)
+    broken = minus_one_given or any(rule(**arrays, given=given).any() for _, rule in _ROW_RULES)
+    return None if broken else cols
 
 
 def _append_records(cols: TraceColumns, block: list[list[str]], lineno: int) -> None:
@@ -629,15 +629,14 @@ def _append_records(cols: TraceColumns, block: list[list[str]], lineno: int) -> 
             if len(rec) != len(TRACE_HEADER):
                 raise ValueError(f"expected 6 fields, got {len(rec)}")
             *head, called_by = rec
-            values = [*map(int, head), None if called_by == "" else int(called_by)]
-            TraceRow(*values).validate()
+            values = _checked_row([*map(int, head), None if called_by == "" else int(called_by)])
         except (ValueError, MalformedTrace) as e:
             raise MalformedTrace(f"line {lineno}: {e}") from e
         cols.append(*values)
 
 
 def read_trace_csv(fp: io.TextIOBase) -> TraceColumns:
-    """The rows of a trace CSV as columns, each row checked as `TraceRow.validate` does.
+    """The rows of a trace CSV as columns, each row checked by the row rules.
 
     Records are read BLOCK at a time. A block with a bad record is read
     again record by record, so the error names the line of the first one

@@ -4,8 +4,8 @@ It groups `TraceRow`s per request, sorts each group by (hops_done,
 timestamp) and finds every parent by scanning the stages one level up.
 `test_workload.py` holds the columnar replay to it: both must build the same
 trees from any forest and refuse the same malformed traces. It checks rows
-itself rather than through `TraceRow.validate`, so it shares no checks with
-the code it tests.
+itself rather than through the row rules of `mssim.workload`, so it shares
+no checks with the code it tests.
 """
 
 from typing import Sequence

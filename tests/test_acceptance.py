@@ -27,9 +27,8 @@ from mssim.instance import (
     QueuePolicy,
     assign_deadlines,
 )
-from mssim.metrics import ecdf, ks_distance, percentile, write_requests_csv
+from mssim.metrics import ecdf, percentile, write_requests_csv
 from mssim.model import ClientRequest, InstanceId, Stage, iter_nodes
-from mssim.oracle import Mg1Params, OracleStage, brute_force_schedule, mg1_fcfs_mean_wait
 from mssim.simulation import run_simulation
 from mssim.workload import (
     ArrivalModel,
@@ -41,6 +40,7 @@ from mssim.workload import (
     replay_trace,
     write_trace_csv,
 )
+from oracles import OracleStage, brute_force_schedule, ks_distance, mg1_fcfs_mean_wait
 
 QUEUE_POLICIES = {
     "fcfs": QueuePolicy(QueueKind.FCFS),
@@ -117,7 +117,7 @@ def test_criterion_1_mg1_wait_matches_oracle():
     result = run_simulation(cfg)
     elapsed = time.monotonic() - started
 
-    expected = mg1_fcfs_mean_wait(Mg1Params(lam=1 / gap, es=exe, es2=float(exe) ** 2))
+    expected = mg1_fcfs_mean_wait(lam=1 / gap, es=exe, es2=float(exe) ** 2)
     assert expected == 500.0
     waits = [r.wait for r in result.stage_records]
     assert len(waits) >= n_target
@@ -178,7 +178,7 @@ def test_criterion_2_engine_matches_brute_force():
         quantum = rng.choice((1, 3, 7, 50, 500))
         policies = dict(QUEUE_POLICIES, fs=QueuePolicy(QueueKind.FAIR_SHARE, quantum=quantum))
         for name, policy in policies.items():
-            expected = [c for _, c in brute_force_schedule(stages, policy)]
+            expected = [c for _, c in brute_force_schedule(stages, policy.kind.value, policy.quantum)]
             got = engine_schedule(stages, policy)
             assert got == expected, f"scenario {scenario}, policy {name}"
 
@@ -192,7 +192,7 @@ def test_fair_share_requeue_cases_match_brute_force():
         OracleStage(arrival=350, exec_time=120, request_id=2),  # inside 1's slice (300, 400)
     ]
     policy = QueuePolicy(QueueKind.FAIR_SHARE, quantum=100)
-    expected = [c for _, c in brute_force_schedule(stages, policy)]
+    expected = [c for _, c in brute_force_schedule(stages, policy.kind.value, policy.quantum)]
     assert expected == [700, 650, 720]
     assert engine_schedule(stages, policy) == expected
 

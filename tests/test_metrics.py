@@ -11,13 +11,12 @@ from mssim.metrics import (
     RequestRecord,
     ecdf,
     imbalance,
-    ks_distance,
     percentile,
     slowdown,
-    utilization,
     write_requests_csv,
 )
 from mssim.model import InstanceId
+from oracles import ks_distance
 
 
 def test_slowdown_arithmetic():
@@ -55,19 +54,6 @@ def test_collector_rejects_impossible_times_when_recording(method, created, comp
     with pytest.raises(InvalidMetric):
         getattr(col, method)(7, created, completed, exec_time)
     assert col.client_records == col.stage_records == []
-
-
-def test_utilization_saturated_and_idle():
-    assert utilization([1000], 1000) == 1.0
-    assert utilization([1000, 0], 1000) == 0.5
-    assert utilization([0, 0], 1000) == 0.0
-
-
-def test_utilization_rejects_empty_window():
-    with pytest.raises(InvalidMetric):
-        utilization([], 100)
-    with pytest.raises(InvalidMetric):
-        utilization([1], 0)
 
 
 def test_imbalance_identical_instances_is_zero():

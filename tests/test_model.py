@@ -1,15 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mssim.errors import InvalidRequest
-from mssim.model import (
-    ClientRequest,
-    Stage,
-    critical_path_exec,
-    iter_nodes,
-    stage_count,
-    validate_tree,
-)
+from mssim.model import ClientRequest, Stage, critical_path_exec, iter_nodes, stage_count
+from oracles import validate_tree
 
 
 def stage(target, exec_time, depth, called_by=None, rid=0):
@@ -78,28 +71,28 @@ def test_validate_accepts_well_formed_chain():
 
 def test_validate_rejects_self_call():
     req = chain([100, 200], targets=[1, 1])
-    with pytest.raises(InvalidRequest):
+    with pytest.raises(ValueError, match="^request 0: "):
         validate_tree(req)
 
 
 def test_validate_rejects_depth_gap():
     req = chain([100, 200])
     list(iter_nodes(req))[1].depth = 2
-    with pytest.raises(InvalidRequest):
+    with pytest.raises(ValueError, match="^request 0: "):
         validate_tree(req)
 
 
 def test_validate_rejects_wrong_caller():
     req = chain([100, 200], targets=[0, 1])
     list(iter_nodes(req))[1].called_by = 3
-    with pytest.raises(InvalidRequest):
+    with pytest.raises(ValueError, match="^request 0: "):
         validate_tree(req)
 
 
 def test_validate_rejects_root_with_caller():
     req = chain([100])
     req.root_stages[0].called_by = 2
-    with pytest.raises(InvalidRequest):
+    with pytest.raises(ValueError, match="^request 0: "):
         validate_tree(req)
 
 
@@ -125,5 +118,5 @@ def test_validate_rejects_random_corruption(data):
         victim.target = victim.called_by
     else:
         victim.exec_time = 0
-    with pytest.raises(InvalidRequest):
+    with pytest.raises(ValueError, match="^request 0: "):
         validate_tree(req)

@@ -14,7 +14,7 @@ from mssim import workload
 from mssim.config import DEFAULT_WEIGHTS, SimConfig
 from mssim.engine import RngStream
 from mssim.errors import ConfigError, MalformedTrace, ValidationError
-from mssim.model import iter_nodes, stage_count, validate_tree
+from mssim.model import iter_nodes, stage_count
 from mssim.simulation import run_simulation
 from mssim.workload import (
     ArrivalModel,
@@ -38,6 +38,7 @@ from mssim.workload import (
 
 import row_replay
 import scalar_sampling as scalar
+from oracles import validate_tree
 
 
 def wl(
@@ -466,6 +467,19 @@ def test_replay_depth_gap_rejected():
     ]
     assert_replays_like_the_row_oracle(rows)
     with pytest.raises(MalformedTrace, match="no parent for hops 2 called_by 0"):
+        replay_trace(rows)
+
+
+@pytest.mark.parametrize("rows,hops", [
+    ([TraceRow(0, 0, 1, 10, 1, called_by=0), TraceRow(0, 0, 2, 10, 2, called_by=1)], 1),
+    ([TraceRow(0, 0, 1, 10, -1, called_by=0)], -1),
+    ([TraceRow(0, 0, 1, 10, -2**63, called_by=0)], -2**63),
+], ids=["hops-1-and-2", "hops--1", "hops-min-int64"])
+def test_replay_request_without_a_root_has_no_parent(rows, hops):
+    # rows come by hops_done, so the first row of a request without a
+    # hops-0 row finds no level above it
+    assert_replays_like_the_row_oracle(rows)
+    with pytest.raises(MalformedTrace, match=f"^request 0: no parent for hops {hops} called_by 0$"):
         replay_trace(rows)
 
 
