@@ -222,12 +222,23 @@ def assign_deadlines(req: ClientRequest, kind: QueueKind, sla: SimTime) -> None:
         weights = [max(stage.exec_time for stage in level) for level in levels]
     else:
         weights = [1] * len(levels)
+    for level, deadline in zip(levels, level_deadlines(req.created_at, sla, weights)):
+        for stage in level:
+            stage.deadline = deadline
+
+
+def level_deadlines(created_at: SimTime, sla: SimTime, weights: list[int]) -> list[SimTime]:
+    """Per level, created_at + sla * (weights of it and the levels above) / (all weights).
+
+    `sla * acc` is an exact int and `/` rounds the quotient once, so a
+    deadline does not depend on whether the product fits a double.
+    """
     total = sum(weights)
     if total <= 0:
         raise ConfigError("total execution time must be > 0 to assign deadlines")
     acc = 0
-    for level, weight in zip(levels, weights):
+    deadlines = []
+    for weight in weights:  # a loop: a comprehension costs twice as much on one level
         acc += weight
-        deadline = req.created_at + round_half_up(sla * acc / total)
-        for stage in level:
-            stage.deadline = deadline
+        deadlines.append(created_at + round_half_up(sla * acc / total))
+    return deadlines

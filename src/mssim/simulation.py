@@ -8,6 +8,7 @@ export of a run replays to the same schedule under identical policies.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,7 +31,7 @@ from .model import (
     critical_path_exec,
     stage_count,
 )
-from .workload import Samplers, TraceColumns, build_client_request
+from .workload import ReplayPlan, Samplers, TraceColumns, build_client_request
 
 
 @dataclass
@@ -72,25 +73,30 @@ class Simulation:
             collect_trace = cfg.trace_out is not None
         self.collect_trace = collect_trace
         self._next_request_id = 0
-        # replayed requests, last to arrive first: each is popped when its
-        # arrival is scheduled, so the simulation holds no tree it has dispatched
-        self._replay: Optional[list[ClientRequest]] = None
-        if replay is not None:
-            self._replay = sorted(replay, key=lambda r: (r.created_at, r.request_id))
-            self._replay.reverse()
-            self.samplers = None
-        else:
-            self.samplers = Samplers(self.workload, cfg.seed)
         kind = cfg.queue_policy.kind
         self._deadline_kind: Optional[QueueKind] = kind if kind.has_deadlines else None
+        # replayed requests in arrival order, ready to dispatch: each is built,
+        # or counted, and given its deadlines when its arrival is scheduled
+        self._replay: Optional[Iterator[ClientRequest]] = None
+        self.samplers: Optional[Samplers] = None
+        if isinstance(replay, ReplayPlan):
+            self._replay = replay.admitted(self._deadline_kind, cfg.sla)
+        elif replay is not None:
+            by_arrival = sorted(replay, key=lambda r: (r.created_at, r.request_id))
+            by_arrival.reverse()
+            self._replay = _ready(by_arrival, self._deadline_kind, cfg.sla)
+        else:
+            self.samplers = Samplers(self.workload, cfg.seed)
 
     # -- event handlers --------------------------------------------------------
 
     def _schedule_next_arrival(self, now: SimTime) -> None:
-        if self._replay is not None:
-            req = self._replay.pop() if self._replay else None
+        if self.samplers is None:
+            req = next(self._replay, None)
             if req is not None and req.created_at <= self.cfg.end_time:
                 self.engine.schedule(req.created_at, self._on_arrival, req)
+            else:  # the last arrival: free the plan before the run ends
+                self._replay = None
         else:
             # looked up on the module, so that a profiler can wrap it
             gap = workload.sample_interarrival(self.samplers)
@@ -103,14 +109,8 @@ class Simulation:
         if req is None:
             req = build_client_request(self._next_request_id, now, self.samplers)
             self._next_request_id += 1
-        elif req.stages == 0:  # built by hand rather than by replay_trace
-            req.stages = stage_count(req)
-            req.crit_exec = critical_path_exec(req)
-        if self._deadline_kind is not None:
-            # replayed trees carry no SLA of their own; it is not written back,
-            # so the same requests replay alike under another config
-            sla = req.sla if req.sla > 0 else self.cfg.sla
-            assign_deadlines(req, self._deadline_kind, sla)
+            if self._deadline_kind is not None:
+                assign_deadlines(req, self._deadline_kind, req.sla)
         req.pending = req.stages
         for root in req.root_stages:
             root.client = req
@@ -201,8 +201,29 @@ class Simulation:
         )
 
 
-def _read_trace_in(cfg: SimConfig) -> list[ClientRequest]:
-    """The requests of `cfg.trace_in`, refused if a row names an undeployed microservice."""
+def _ready(
+    by_arrival: list[ClientRequest], kind: Optional[QueueKind], sla: SimTime
+) -> Iterator[ClientRequest]:
+    """Given requests, last to arrive first, popped and made ready to dispatch.
+
+    Each is popped when its arrival is scheduled, so the simulation holds
+    no tree it has dispatched. A tree built by hand gets its stage count
+    and critical path here.
+    """
+    while by_arrival:
+        req = by_arrival.pop()
+        if req.stages == 0:  # built by hand rather than by replay_trace
+            req.stages = stage_count(req)
+            req.crit_exec = critical_path_exec(req)
+        if kind is not None:
+            # a request without an SLA of its own takes the run's; it is not
+            # written back, so the same requests replay alike under another config
+            assign_deadlines(req, kind, req.sla if req.sla > 0 else sla)
+        yield req
+
+
+def _read_trace_in(cfg: SimConfig) -> ReplayPlan:
+    """The checked requests of `cfg.trace_in`, refused if a row names an undeployed microservice."""
     # looked up on the module, so that a profiler can wrap them
     with open(cfg.trace_in, encoding="utf-8") as fp:
         rows = workload.read_trace_csv(fp)
@@ -231,7 +252,8 @@ def run_simulation(
     if replay is None and cfg.trace_in is not None:
         replay = _read_trace_in(cfg)
     sim = Simulation(cfg, replay=replay, collect_trace=collect_trace)
-    # the simulation drops each request once it is dispatched; holding the
-    # list here would keep a trace file's trees alive until the run ends
+    # the simulation drops a replay plan once its last request is admitted,
+    # and given requests once each is dispatched; holding them here would
+    # keep them alive until the run ends
     replay = None
     return sim.run()

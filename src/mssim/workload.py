@@ -11,16 +11,18 @@ import io
 import math
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import astuple, dataclass
 from enum import Enum
 from functools import partial
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .engine import RngStream, SimTime
 from .errors import ConfigError, MalformedTrace, ValidationError
+from .instance import QueueKind, level_deadlines
 from .metrics import BLOCK, ColumnView
 from .model import ClientRequest, Stage
 
@@ -462,8 +464,8 @@ def _checked_row(values: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
     return values
 
 
-def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
-    """Reconstruct ClientRequests from trace rows; samplers are bypassed.
+def replay_trace(rows: Sequence[TraceRow]) -> ReplayPlan:
+    """Check trace rows as call trees and plan their replay; samplers are bypassed.
 
     Takes `TraceColumns`, as `read_trace_csv` returns them, or any sequence
     of `TraceRow`s, which are checked and turned into columns first. Rows
@@ -471,70 +473,197 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
     deeper row a unique parent row at hops_done - 1 whose called_ms equals
     the row's called_by. One stable sort by (request_id, hops_done,
     timestamp) puts every parent before its children and fixes the order
-    of siblings, ties in row order.
+    of siblings, ties in row order. Every row is checked here, and the
+    first that breaks the forest, in that order, raises MalformedTrace; the
+    returned plan builds a request's `Stage`s only when it is read.
     """
     if not isinstance(rows, TraceColumns):
         rows = TraceColumns.from_rows(rows)
-    if not len(rows):
-        return []
     request_id, timestamp, called_ms, exetime, hops_done, called_by = rows.arrays()
-    order = np.lexsort((timestamp, hops_done, request_id))  # last key first; stable
-    request_id = request_id[order]
-    starts = np.flatnonzero(np.r_[True, request_id[1:] != request_id[:-1]])
-    heads = zip(
-        request_id[starts].tolist(),
-        np.minimum.reduceat(timestamp[order], starts).tolist(),
-        np.diff(np.r_[starts, len(order)]).tolist(),
-    )
-    rows_left = zip(*(col[order].tolist() for col in (called_ms, exetime, hops_done, called_by)))
+    order = _narrow(np.lexsort((timestamp, hops_done, request_id)))  # last key first; stable
+    # each column is narrowed, then sorted, in turn, so that beside the input
+    # and the order the set-up holds at most one sorted int64 column
+    sort = lambda col: _narrow(col)[order]
+    request_id = sort(request_id)
+    first_of_request = np.ones(len(order), bool)
+    first_of_request[1:] = request_id[1:] != request_id[:-1]
+    bounds = _narrow(np.r_[np.flatnonzero(first_of_request), len(order)])
+    starts = bounds[:-1]
+    request_id = _narrow(request_id[starts])
+    created_at = _narrow(np.minimum.reduceat(sort(timestamp), starts))
+    called_ms = sort(called_ms)
+    back = _parent_distances(request_id, bounds, called_ms, sort(hops_done), sort(called_by))
+    return ReplayPlan(request_id, created_at, bounds, called_ms, sort(exetime), back)
 
-    requests = []
-    for rid, created_at, size in heads:
-        roots: list[Stage] = []
-        crit_exec = 0
-        # microservice -> (stage, exec summed from the root) of the rows at
-        # depth - 1 and at depth; None where two rows of a level share one
-        above: dict[int, Optional[tuple[Stage, SimTime]]] = {}
-        level: dict[int, Optional[tuple[Stage, SimTime]]] = {}
-        depth = -1
-        for target, exec_time, hops, caller in islice(rows_left, size):
-            if hops != depth:
-                above, level, depth = level if hops == depth + 1 else {}, {}, hops
-            if hops == 0:
-                stage = Stage(rid, target, exec_time, 0)
-                roots.append(stage)
-                path = exec_time
-            else:
-                if caller == target:
-                    raise MalformedTrace(f"request {rid}: self-call edge at hops {hops}")
-                entry = above.get(caller)
-                if entry is None:
-                    problem = "ambiguous parent" if caller in above else "no parent"
-                    raise MalformedTrace(
-                        f"request {rid}: {problem} for hops {hops} called_by {caller}"
-                    )
-                parent, path = entry
-                path += exec_time
-                stage = Stage(rid, target, exec_time, hops, caller)
-                if parent.children:
-                    parent.children.append(stage)
-                else:  # leaves share the empty tuple until their first child
-                    parent.children = [stage]
-            level[target] = None if target in level else (stage, path)
-            if path > crit_exec:  # exec > 0, so the longest path ends at a leaf
-                crit_exec = path
-        requests.append(
-            ClientRequest(
-                request_id=rid,
-                created_at=created_at,
-                sla=0,  # SLA comes from the run config, not the trace
-                max_depth=depth,  # rows come by hops_done
-                root_stages=roots,
-                stages=size,
-                crit_exec=crit_exec,
-            )
-        )
-    return requests
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """a in the narrowest signed integer type that holds all of its values."""
+    lo, hi = (int(a.min()), int(a.max())) if len(a) else (0, 0)
+    for t in (np.int8, np.int16, np.int32):
+        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max:
+            return a.astype(t, copy=False)
+    return a.astype(np.int64, copy=False)
+
+
+def _parent_distances(
+    request_id: np.ndarray,
+    bounds: np.ndarray,
+    called_ms: np.ndarray,
+    hops_done: np.ndarray,
+    called_by: np.ndarray,
+) -> np.ndarray:
+    """How many rows back each sorted row's parent is, 0 for a root.
+
+    Requests are checked in order, BLOCK at a time; `bounds` holds each
+    one's first row and then the row count. The first row that calls its
+    own microservice, or has no unique parent one level up, raises
+    MalformedTrace.
+    """
+    # a type that holds -(row count) holds every distance
+    back = np.zeros(len(called_ms), np.min_scalar_type(-len(called_ms)))
+    for b in range(0, len(request_id), BLOCK):
+        lo, hi = bounds[b], bounds[min(b + BLOCK, len(request_id))]
+        heads = zip(request_id[b : b + BLOCK].tolist(), np.diff(bounds[b : b + BLOCK + 1]).tolist())
+        cells = zip(*(col[lo:hi].tolist() for col in (called_ms, hops_done, called_by)))
+        distances: list[int] = []
+        for rid, size in heads:
+            # microservice -> index in the block of the row at depth - 1 and
+            # at depth; None where two rows of a level share one
+            above: dict[int, Optional[int]] = {}
+            level: dict[int, Optional[int]] = {}
+            depth = -1
+            for target, hops, caller in islice(cells, size):
+                if hops != depth:
+                    above, level, depth = level if hops == depth + 1 else {}, {}, hops
+                i = len(distances)
+                if hops == 0:
+                    distances.append(0)
+                else:
+                    if caller == target:
+                        raise MalformedTrace(f"request {rid}: self-call edge at hops {hops}")
+                    parent = above.get(caller)
+                    if parent is None:
+                        problem = "ambiguous parent" if caller in above else "no parent"
+                        raise MalformedTrace(
+                            f"request {rid}: {problem} for hops {hops} called_by {caller}"
+                        )
+                    distances.append(i - parent)
+                level[target] = None if target in level else i
+        back[lo:hi] = distances
+    return back
+
+
+# requests a plan builds at a time: few enough that their trees are still
+# in the CPU caches when they are dispatched and that few garbage
+# collections find them young; on the benchmark's replay trace, building
+# 128 at a time took 30% less time than 2,048 at a time
+PLAN_BATCH = 128
+
+
+class ReplayPlan(Sequence):
+    """The requests of a checked trace, each built when it is read.
+
+    Rows are held in columns, grouped by request in request_id order and
+    within a request by (hops_done, timestamp), so every parent row comes
+    before its children. Per row the plan keeps `called_ms`, `exetime` and
+    `back`, how many rows back its parent is (0 for a root); a stage's
+    depth and caller are its parent's depth + 1 and target. Per request it
+    keeps `request_id` and `created_at`, the earliest timestamp of its
+    rows; `starts` holds each request's first row, then the row count.
+    Each column is held in the narrowest integer type that holds it.
+
+    Indexing, slicing and iterating build new trees in request_id order,
+    with no SLA and no deadlines; `admitted` builds them in arrival order
+    with a run's deadlines. No tree is kept, so a plan replays alike any
+    number of times.
+    """
+
+    __slots__ = ("request_id", "created_at", "starts", "called_ms", "exetime", "back")
+
+    def __init__(self, *columns: np.ndarray):
+        for name, col in zip(self.__slots__, columns):
+            setattr(self, name, _narrow(col))
+
+    def __len__(self) -> int:
+        return len(self.request_id)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._build(np.arange(len(self))[i])
+        return self._build(np.array([range(len(self))[i]]))[0]  # IndexError as a list's
+
+    def __iter__(self) -> Iterator[ClientRequest]:
+        return self._batches(np.arange(len(self)))
+
+    def admitted(self, kind: Optional[QueueKind], sla: SimTime) -> Iterator[ClientRequest]:
+        """The requests by (created_at, request_id), built PLAN_BATCH at a time.
+
+        Under `kind` EDS or EXDS, every stage gets the deadline that
+        `assign_deadlines(request, kind, sla)` would give it; `sla` is > 0.
+        With `kind` None, stages get no deadline.
+        """
+        order = np.argsort(self.created_at, kind="stable")  # ties in request_id order
+        return self._batches(order, kind, sla)
+
+    def _batches(
+        self, pos: np.ndarray, kind: Optional[QueueKind] = None, sla: SimTime = 0
+    ) -> Iterator[ClientRequest]:
+        for start in range(0, len(pos), PLAN_BATCH):
+            yield from self._build(pos[start : start + PLAN_BATCH], kind, sla)
+
+    def _build(
+        self, pos: np.ndarray, kind: Optional[QueueKind] = None, sla: SimTime = 0
+    ) -> list[ClientRequest]:
+        """The requests at positions `pos`, with one tolist() per column for all of them."""
+        starts = self.starts[pos]
+        sizes = self.starts[pos + 1] - starts
+        # the rows of the requests, one request after another
+        rows = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        heads = zip(self.request_id[pos].tolist(), self.created_at[pos].tolist(), sizes.tolist())
+        cells = zip(*(col[rows].tolist() for col in (self.called_ms, self.exetime, self.back)))
+        built: list[Stage] = []  # every stage of the batch, in row order
+        paths: list[SimTime] = []  # per stage, exec summed from its root
+        requests = []
+        for rid, created_at, size in heads:
+            first = len(built)
+            roots: list[Stage] = []
+            crit_exec = 0
+            depth = -1
+            # rows come by depth; per level, the largest exec (its EXDS weight)
+            weights: list[SimTime] = []
+            for target, exec_time, back in islice(cells, size):
+                if back:
+                    parent = built[-back]
+                    d = parent.depth + 1
+                    stage = Stage(rid, target, exec_time, d, parent.target)
+                    if parent.children:
+                        parent.children.append(stage)
+                    else:  # leaves share the empty tuple until their first child
+                        parent.children = [stage]
+                    path = paths[-back] + exec_time
+                else:
+                    d = 0
+                    stage = Stage(rid, target, exec_time, 0)
+                    roots.append(stage)
+                    path = exec_time
+                if d != depth:
+                    depth = d
+                    weights.append(exec_time)
+                elif exec_time > weights[-1]:
+                    weights[-1] = exec_time
+                if path > crit_exec:  # exec > 0, so the longest path ends at a leaf
+                    crit_exec = path
+                built.append(stage)
+                paths.append(path)
+            if kind is not None:
+                if kind is not QueueKind.EXDS:
+                    weights = [1] * len(weights)
+                deadlines = level_deadlines(created_at, sla, weights)
+                for stage in built[first:]:
+                    stage.deadline = deadlines[stage.depth]
+            # sla 0 takes the run's SLA; the last row is at the deepest level
+            requests.append(ClientRequest(rid, created_at, 0, depth, roots, size, crit_exec))
+        return requests
 
 
 class TraceColumns(ColumnView):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import row_replay
 from mssim.cli import _QUEUE_FLAGS, cli_main
 from mssim.config import (
     SimConfig,
@@ -9,9 +10,12 @@ from mssim.config import (
     load_config,
     parse_duration,
 )
-from mssim.errors import ParseError, ValidationError
+from mssim.engine import Engine
+from mssim.errors import MalformedTrace, ParseError, ValidationError
 from mssim.gateway import LbPolicy
 from mssim.instance import QueueKind, QueuePolicy
+from mssim.metrics import BLOCK
+from mssim.workload import TraceRow, write_trace_csv
 
 SMALL = {
     "end_time": "1s",
@@ -283,6 +287,29 @@ def test_cli_refuses_a_bad_trace_row_before_the_run(tmp_path, capsys, row, error
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"config error: {error}"), err
+
+
+@pytest.mark.parametrize("created_at", [900_000, 5_000_000], ids=["last-batch", "after-end-time"])
+def test_cli_refuses_a_forest_defect_before_the_first_event(tmp_path, capsys, monkeypatch, created_at):
+    # more than two check blocks of one-row requests, then one whose child
+    # has no parent; it arrives last, so it is in the last admission batch,
+    # and under "after-end-time" after the 1 s end_time, so the run would
+    # never build it
+    n = 2 * BLOCK + 10
+    rows = [TraceRow(k, 100 * k, k % 2, 50, 0) for k in range(n)]
+    rows += [TraceRow(n, created_at, 0, 50, 0), TraceRow(n, created_at, 0, 50, 1, called_by=1)]
+    with pytest.raises(MalformedTrace) as want:
+        row_replay.replay_trace(rows)
+    trace = tmp_path / "trace.csv"
+    with open(trace, "w", encoding="utf-8", newline="") as fp:
+        write_trace_csv(rows, fp)
+    events = []
+    monkeypatch.setattr(Engine, "run_until", lambda *args: events.append(args))
+    cfg = write_config(tmp_path, SMALL)
+    rc = cli_main(["--config", cfg, "--trace-in", str(trace), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {want.value}\n"
+    assert events == []
 
 
 def test_cli_trace_round_trip(tmp_path):

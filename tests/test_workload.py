@@ -14,6 +14,7 @@ from mssim import workload
 from mssim.config import DEFAULT_WEIGHTS, SimConfig
 from mssim.engine import RngStream
 from mssim.errors import ConfigError, MalformedTrace, ValidationError
+from mssim.instance import QueueKind, assign_deadlines
 from mssim.model import iter_nodes, stage_count
 from mssim.simulation import run_simulation
 from mssim.workload import (
@@ -388,8 +389,16 @@ def replay_shape(requests):
     ]
 
 
+def by_arrival(requests):
+    return sorted(requests, key=lambda r: (r.created_at, r.request_id))
+
+
 def assert_replays_like_the_row_oracle(rows):
-    """The columnar replay builds the trees the row replay builds, or raises its error."""
+    """The replay plan builds the trees the row replay builds, or raises its error.
+
+    The plan's requests read alike by iteration, index and slice, and in
+    arrival order from `admitted`.
+    """
     try:
         want = row_replay.replay_trace(rows)
     except MalformedTrace as e:
@@ -398,15 +407,22 @@ def assert_replays_like_the_row_oracle(rows):
         assert str(got.value) == str(e)
         return None
     got = replay_trace(rows)
-    assert replay_shape(got) == replay_shape(want)
+    shape = replay_shape(want)
+    assert len(got) == len(want)
+    assert replay_shape(got) == shape
+    assert replay_shape([got[k] for k in range(-len(got), 0)]) == shape
+    assert replay_shape(got[::-1]) == shape[::-1]
+    with pytest.raises(IndexError):
+        got[len(got)]
+    assert replay_shape(got.admitted(None, 0)) == replay_shape(by_arrival(want))
     for req in got:  # one request_id object per request
         assert all(s.request_id is req.request_id for s in iter_nodes(req))
     return got
 
 
 @st.composite
-def trace_forests(draw):
-    """Rows of a few requests, fan-out up to 3, shuffled, often with one defect."""
+def trace_forests(draw, defects=True):
+    """Rows of a few requests, fan-out up to 3, shuffled, often with one defect if `defects`."""
     rows = []
     for rid in draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True)):
         stack = [(draw(st.integers(0, 11)), 0, None) for _ in range(draw(st.integers(1, 3)))]
@@ -422,7 +438,8 @@ def trace_forests(draw):
     i = draw(st.integers(0, len(rows) - 1))
     r = rows[i]
     defect = draw(st.sampled_from(
-        ["none", "none", "drop", "dup", "gap", "self", "root caller", "no caller", "exec 0"]))
+        ["none", "none", "drop", "dup", "gap", "self", "root caller", "no caller", "exec 0"]
+        if defects else ["none"]))
     if defect == "drop":
         del rows[i]
     elif defect == "dup":
@@ -446,6 +463,35 @@ def trace_forests(draw):
 @settings(max_examples=300, deadline=None)
 def test_replay_matches_the_row_oracle_on_random_forests(rows):
     assert_replays_like_the_row_oracle(rows)
+
+
+@given(
+    trace_forests(defects=False),
+    st.sampled_from([QueueKind.EDS, QueueKind.EXDS]),
+    # from 2**53 on, sla * acc is past the doubles that hold every integer
+    st.one_of(st.integers(1, 10**7), st.integers(2**53, 2**62)),
+)
+@settings(max_examples=100, deadline=None)
+def test_replayed_deadlines_are_those_assign_deadlines_gives(rows, kind, sla):
+    try:
+        want = row_replay.replay_trace(rows)
+    except MalformedTrace:  # two siblings share a microservice and one has children
+        assume(False)
+    for req in want:
+        assign_deadlines(req, kind, sla)
+    deadlines = lambda reqs: [[s.deadline for s in iter_nodes(r)] for r in reqs]
+    assert deadlines(replay_trace(rows).admitted(kind, sla)) == deadlines(by_arrival(want))
+
+
+def test_replay_plan_holds_at_most_12_bytes_per_trace_row():
+    # ids and times that fit int32 and about 2 rows per request: 6 bytes per
+    # row (exetime, called_ms, back) and 12 per request (request_id,
+    # created_at, first row), each column in the narrowest type that holds it
+    rows = run_trace(9, 2_000_000)
+    plan = replay_trace(rows)
+    assert len(rows) > 3000
+    held = sum(sys.getsizeof(getattr(plan, name)) for name in plan.__slots__)
+    assert held / len(rows) <= 12
 
 
 def test_replay_matches_the_row_oracle_on_a_recorded_trace():
