@@ -4,8 +4,8 @@ A client request is a tree of `Stage`s, one per microservice invocation.
 The same object is built by the workload, queued and run by one instance,
 and carries its run state (arrival, remaining exec, deadline, owning
 request) through the simulation, so dispatching a stage allocates nothing
-but an optional trace row. Sampled trees are built when their request
-arrives, replayed ones when their request is admitted (`ReplayPlan`).
+but an optional trace row. Sampled and replayed trees alike are built
+when the simulation schedules their request's arrival.
 """
 
 from __future__ import annotations
@@ -52,18 +52,18 @@ class Stage:
 class ClientRequest:
     """Full call tree of one client request.
 
-    Sampled requests are built at their arrival and replayed ones when the
-    simulation admits them, a batch at a time, so a run holds the trees in
-    flight and in the current batch, not every tree of a trace.
+    A run builds each request when it schedules its arrival, a replayed one
+    with the rest of its batch, so it holds the trees in flight and in the
+    current batch, not every tree of a trace. Every request of a run has
+    the run's `sla` as its deadline budget.
     """
 
     request_id: int
     created_at: SimTime
-    sla: SimTime  # total deadline budget; 0 takes the run's configured SLA
     max_depth: int
     root_stages: list[Stage] = field(default_factory=list)
     # stage_count and critical_path_exec, counted by build_client_request and
-    # ReplayPlan while they build the tree; 0 when the tree was built by hand
+    # ReplayPlan while they build the tree
     stages: int = 0
     crit_exec: SimTime = 0
     pending: int = 0  # stages not yet completed, set when the request arrives

@@ -8,9 +8,11 @@ export of a run replays to the same schedule under identical policies.
 
 from __future__ import annotations
 
+import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import count
+from typing import Optional
 
 from . import workload
 from .config import SimConfig
@@ -24,13 +26,9 @@ from .gateway import (
 )
 from .instance import InstanceState, QueueKind, assign_deadlines
 from .metrics import MetricsCollector, RecordColumns, SimReport
-from .model import (
-    ClientRequest,
-    InstanceId,
-    Stage,
-    critical_path_exec,
-    stage_count,
-)
+from .model import ClientRequest, InstanceId, Stage
+# the benchmark's per-layer tracer (bench/tracer.py) wraps these names
+from .model import critical_path_exec, stage_count  # noqa: F401
 from .workload import ReplayPlan, Samplers, TraceColumns, build_client_request
 
 
@@ -52,18 +50,17 @@ class Simulation:
     def __init__(
         self,
         cfg: SimConfig,
-        replay: Optional[Sequence[ClientRequest]] = None,
+        replay: Optional[ReplayPlan] = None,
         collect_trace: Optional[bool] = None,
     ):
         cfg.validate()
         self.cfg = cfg
-        self.workload = cfg.workload()
         self.engine = Engine()
         self.registry = Registry()
         # instances are deployed before the simulation starts; no scaling
         self.instances: list[InstanceState] = []
-        for ms, count in enumerate(cfg.microservices):
-            for slot in range(count):
+        for ms, n in enumerate(cfg.microservices):
+            for slot in range(n):
                 state = InstanceState(InstanceId(ms, slot), cfg.queue_policy)
                 self.registry.register(state)
                 self.instances.append(state)
@@ -72,45 +69,25 @@ class Simulation:
         if collect_trace is None:
             collect_trace = cfg.trace_out is not None
         self.collect_trace = collect_trace
-        self._next_request_id = 0
         kind = cfg.queue_policy.kind
-        self._deadline_kind: Optional[QueueKind] = kind if kind.has_deadlines else None
-        # replayed requests in arrival order, ready to dispatch: each is built,
-        # or counted, and given its deadlines when its arrival is scheduled
-        self._replay: Optional[Iterator[ClientRequest]] = None
-        self.samplers: Optional[Samplers] = None
-        if isinstance(replay, ReplayPlan):
-            self._replay = replay.admitted(self._deadline_kind, cfg.sla)
-        elif replay is not None:
-            by_arrival = sorted(replay, key=lambda r: (r.created_at, r.request_id))
-            by_arrival.reverse()
-            self._replay = _ready(by_arrival, self._deadline_kind, cfg.sla)
+        deadline_kind = kind if kind.has_deadlines else None
+        # the requests up to end_time in arrival order, each built and given
+        # its deadlines when its arrival is scheduled
+        if replay is None:
+            self._arrivals = _sampled(Samplers(cfg.workload(), cfg.seed), cfg, deadline_kind)
         else:
-            self.samplers = Samplers(self.workload, cfg.seed)
+            self._arrivals = replay.admitted(deadline_kind, cfg.sla, cfg.end_time)
 
     # -- event handlers --------------------------------------------------------
 
-    def _schedule_next_arrival(self, now: SimTime) -> None:
-        if self.samplers is None:
-            req = next(self._replay, None)
-            if req is not None and req.created_at <= self.cfg.end_time:
-                self.engine.schedule(req.created_at, self._on_arrival, req)
-            else:  # the last arrival: free the plan before the run ends
-                self._replay = None
-        else:
-            # looked up on the module, so that a profiler can wrap it
-            gap = workload.sample_interarrival(self.samplers)
-            if now + gap <= self.cfg.end_time:
-                self.engine.schedule(now + gap, self._on_arrival)
+    def _schedule_next_arrival(self) -> None:
+        req = next(self._arrivals, None)
+        if req is not None:
+            self.engine.schedule(req.created_at, self._on_arrival, req)
 
-    def _on_arrival(self, req: Optional[ClientRequest]) -> None:
+    def _on_arrival(self, req: ClientRequest) -> None:
         now = self.engine.now
-        self._schedule_next_arrival(now)
-        if req is None:
-            req = build_client_request(self._next_request_id, now, self.samplers)
-            self._next_request_id += 1
-            if self._deadline_kind is not None:
-                assign_deadlines(req, self._deadline_kind, req.sla)
+        self._schedule_next_arrival()
         req.pending = req.stages
         for root in req.root_stages:
             root.client = req
@@ -174,7 +151,7 @@ class Simulation:
 
     def run(self) -> SimResult:
         cfg = self.cfg
-        self._schedule_next_arrival(0)
+        self._schedule_next_arrival()
         for kind, interval in (
             ("util", cfg.utilization_interval),
             ("imb", cfg.imbalance_interval),
@@ -201,32 +178,34 @@ class Simulation:
         )
 
 
-def _ready(
-    by_arrival: list[ClientRequest], kind: Optional[QueueKind], sla: SimTime
+def _sampled(
+    samplers: Samplers, cfg: SimConfig, kind: Optional[QueueKind]
 ) -> Iterator[ClientRequest]:
-    """Given requests, last to arrive first, popped and made ready to dispatch.
-
-    Each is popped when its arrival is scheduled, so the simulation holds
-    no tree it has dispatched. A tree built by hand gets its stage count
-    and critical path here.
-    """
-    while by_arrival:
-        req = by_arrival.pop()
-        if req.stages == 0:  # built by hand rather than by replay_trace
-            req.stages = stage_count(req)
-            req.crit_exec = critical_path_exec(req)
+    """Sampled requests in arrival order up to `cfg.end_time`, each built when its gap is drawn."""
+    now = 0
+    for request_id in count():
+        # looked up on the modules, so that a profiler can wrap them
+        now += workload.sample_interarrival(samplers)
+        if now > cfg.end_time:
+            return
+        req = build_client_request(request_id, now, samplers)
         if kind is not None:
-            # a request without an SLA of its own takes the run's; it is not
-            # written back, so the same requests replay alike under another config
-            assign_deadlines(req, kind, req.sla if req.sla > 0 else sla)
+            assign_deadlines(req, kind, cfg.sla)
         yield req
 
 
 def _read_trace_in(cfg: SimConfig) -> ReplayPlan:
     """The checked requests of `cfg.trace_in`, refused if a row names an undeployed microservice."""
-    # looked up on the module, so that a profiler can wrap them
-    with open(cfg.trace_in, encoding="utf-8") as fp:
-        rows = workload.read_trace_csv(fp)
+    try:
+        # looked up on the module, so that a profiler can wrap them
+        with open(cfg.trace_in, encoding="utf-8") as fp:
+            rows = workload.read_trace_csv(fp)
+    except OSError as e:  # missing, a directory, unreadable
+        raise MalformedTrace(f"trace_in {cfg.trace_in}: {e.strerror}") from None
+    except UnicodeDecodeError as e:  # decoded in chunks, so neither line nor offset is known
+        raise MalformedTrace(f"trace_in {cfg.trace_in}: not UTF-8 ({e.reason})") from None
+    except csv.Error as e:  # read_trace_csv names the line
+        raise MalformedTrace(f"trace_in {cfg.trace_in}: {e}") from None
     request_id, _, called_ms, _, _, called_by = rows.arrays()
     n = len(cfg.microservices)
     undeployed = (called_ms < 0) | (called_ms >= n) | (called_by >= n)
@@ -241,7 +220,7 @@ def _read_trace_in(cfg: SimConfig) -> ReplayPlan:
 
 def run_simulation(
     cfg: SimConfig,
-    replay: Optional[Sequence[ClientRequest]] = None,
+    replay: Optional[ReplayPlan] = None,
     collect_trace: Optional[bool] = None,
 ) -> SimResult:
     """Run one simulation; replay bypasses all workload samplers.
@@ -252,8 +231,7 @@ def run_simulation(
     if replay is None and cfg.trace_in is not None:
         replay = _read_trace_in(cfg)
     sim = Simulation(cfg, replay=replay, collect_trace=collect_trace)
-    # the simulation drops a replay plan once its last request is admitted,
-    # and given requests once each is dispatched; holding them here would
-    # keep them alive until the run ends
+    # the simulation drops a replay plan once its last request is admitted;
+    # holding it here would keep it alive until the run ends
     replay = None
     return sim.run()

@@ -412,7 +412,6 @@ def build_client_request(request_id: int, now: SimTime, samplers: Samplers) -> C
     return ClientRequest(
         request_id=request_id,
         created_at=now,
-        sla=wl.sla,
         max_depth=depth,
         root_stages=root_stages,
         stages=stages,
@@ -475,7 +474,7 @@ def replay_trace(rows: Sequence[TraceRow]) -> ReplayPlan:
     timestamp) puts every parent before its children and fixes the order
     of siblings, ties in row order. Every row is checked here, and the
     first that breaks the forest, in that order, raises MalformedTrace; the
-    returned plan builds a request's `Stage`s only when it is read.
+    returned plan builds a request's `Stage`s only when it is admitted.
     """
     if not isinstance(rows, TraceColumns):
         rows = TraceColumns.from_rows(rows)
@@ -560,8 +559,8 @@ def _parent_distances(
 PLAN_BATCH = 128
 
 
-class ReplayPlan(Sequence):
-    """The requests of a checked trace, each built when it is read.
+class ReplayPlan:
+    """The requests of a checked trace, each built when it is admitted.
 
     Rows are held in columns, grouped by request in request_id order and
     within a request by (hops_done, timestamp), so every parent row comes
@@ -570,12 +569,8 @@ class ReplayPlan(Sequence):
     depth and caller are its parent's depth + 1 and target. Per request it
     keeps `request_id` and `created_at`, the earliest timestamp of its
     rows; `starts` holds each request's first row, then the row count.
-    Each column is held in the narrowest integer type that holds it.
-
-    Indexing, slicing and iterating build new trees in request_id order,
-    with no SLA and no deadlines; `admitted` builds them in arrival order
-    with a run's deadlines. No tree is kept, so a plan replays alike any
-    number of times.
+    Each column is held in the narrowest integer type that holds it. No
+    tree is kept, so a plan replays alike any number of times.
     """
 
     __slots__ = ("request_id", "created_at", "starts", "called_ms", "exetime", "back")
@@ -584,35 +579,22 @@ class ReplayPlan(Sequence):
         for name, col in zip(self.__slots__, columns):
             setattr(self, name, _narrow(col))
 
-    def __len__(self) -> int:
-        return len(self.request_id)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self._build(np.arange(len(self))[i])
-        return self._build(np.array([range(len(self))[i]]))[0]  # IndexError as a list's
-
-    def __iter__(self) -> Iterator[ClientRequest]:
-        return self._batches(np.arange(len(self)))
-
-    def admitted(self, kind: Optional[QueueKind], sla: SimTime) -> Iterator[ClientRequest]:
-        """The requests by (created_at, request_id), built PLAN_BATCH at a time.
+    def admitted(
+        self, kind: Optional[QueueKind], sla: SimTime, end_time: SimTime
+    ) -> Iterator[ClientRequest]:
+        """The requests created up to end_time by (created_at, request_id), PLAN_BATCH at a time.
 
         Under `kind` EDS or EXDS, every stage gets the deadline that
         `assign_deadlines(request, kind, sla)` would give it; `sla` is > 0.
         With `kind` None, stages get no deadline.
         """
         order = np.argsort(self.created_at, kind="stable")  # ties in request_id order
-        return self._batches(order, kind, sla)
-
-    def _batches(
-        self, pos: np.ndarray, kind: Optional[QueueKind] = None, sla: SimTime = 0
-    ) -> Iterator[ClientRequest]:
-        for start in range(0, len(pos), PLAN_BATCH):
-            yield from self._build(pos[start : start + PLAN_BATCH], kind, sla)
+        order = order[: np.searchsorted(self.created_at[order], end_time, side="right")]
+        for start in range(0, len(order), PLAN_BATCH):
+            yield from self._build(order[start : start + PLAN_BATCH], kind, sla)
 
     def _build(
-        self, pos: np.ndarray, kind: Optional[QueueKind] = None, sla: SimTime = 0
+        self, pos: np.ndarray, kind: Optional[QueueKind], sla: SimTime
     ) -> list[ClientRequest]:
         """The requests at positions `pos`, with one tolist() per column for all of them."""
         starts = self.starts[pos]
@@ -661,8 +643,8 @@ class ReplayPlan(Sequence):
                 deadlines = level_deadlines(created_at, sla, weights)
                 for stage in built[first:]:
                     stage.deadline = deadlines[stage.depth]
-            # sla 0 takes the run's SLA; the last row is at the deepest level
-            requests.append(ClientRequest(rid, created_at, 0, depth, roots, size, crit_exec))
+            # the last row is at the deepest level
+            requests.append(ClientRequest(rid, created_at, depth, roots, size, crit_exec))
         return requests
 
 
@@ -770,19 +752,23 @@ def read_trace_csv(fp: io.TextIOBase) -> TraceColumns:
     Records are read BLOCK at a time. A block with a bad record is read
     again record by record, so the error names the line of the first one
     (counted in CSV records, blank ones included, the header being line 1).
+    A record that csv cannot split raises csv.Error naming its line.
     """
     reader = csv.reader(fp)
-    header = next(reader, None)
-    if header != TRACE_HEADER:
-        raise MalformedTrace(f"bad trace header: {header!r}")
-    cols = TraceColumns()
-    lineno = 2
-    while block := list(islice(reader, BLOCK)):
-        checked = _checked_block(block)
-        if checked is None:
-            _append_records(cols, block, lineno)
-        else:
-            for col, new in zip(cols.columns(), checked):
-                col.extend(new)
-        lineno += len(block)
+    try:
+        header = next(reader, None)
+        if header != TRACE_HEADER:
+            raise MalformedTrace(f"bad trace header: {header!r}")
+        cols = TraceColumns()
+        lineno = 2
+        while block := list(islice(reader, BLOCK)):
+            checked = _checked_block(block)
+            if checked is None:
+                _append_records(cols, block, lineno)
+            else:
+                for col, new in zip(cols.columns(), checked):
+                    col.extend(new)
+            lineno += len(block)
+    except csv.Error as e:  # such as a field past csv.field_size_limit()
+        raise csv.Error(f"line {reader.line_num}: {e}") from None
     return cols

@@ -227,7 +227,7 @@ def test_criterion_3_same_seed_byte_identical_artifacts(tmp_path):
 # -- criteria 4 and 5 --------------------------------------------------------
 
 
-def chain_request(created_at, sla, execs):
+def chain_request(created_at, execs):
     nodes = []
     for depth, exe in enumerate(execs):
         called_by = None if depth == 0 else depth - 1
@@ -237,24 +237,23 @@ def chain_request(created_at, sla, execs):
     for parent, child in zip(nodes, nodes[1:]):
         parent.children = [child]
     return ClientRequest(
-        request_id=1, created_at=created_at, sla=sla,
-        max_depth=len(execs) - 1, root_stages=[nodes[0]],
+        request_id=1, created_at=created_at, max_depth=len(execs) - 1, root_stages=[nodes[0]],
     )
 
 
 def test_criterion_4_equal_slack_deadlines():
-    req = chain_request(created_at=6000, sla=3000, execs=(100, 100, 100))
-    assign_deadlines(req, QueueKind.EDS, req.sla)
+    req = chain_request(created_at=6000, execs=(100, 100, 100))
+    assign_deadlines(req, QueueKind.EDS, 3000)
     assert [n.deadline for n in iter_nodes(req)] == [7000, 8000, 9000]
 
-    flat = chain_request(created_at=6000, sla=3000, execs=(100,))
-    assign_deadlines(flat, QueueKind.EDS, flat.sla)
+    flat = chain_request(created_at=6000, execs=(100,))
+    assign_deadlines(flat, QueueKind.EDS, 3000)
     assert flat.root_stages[0].deadline == 9000
 
 
 def test_criterion_5_exec_proportional_deadlines():
-    req = chain_request(created_at=6000, sla=3000, execs=(500, 1000, 500))
-    assign_deadlines(req, QueueKind.EXDS, req.sla)
+    req = chain_request(created_at=6000, execs=(500, 1000, 500))
+    assign_deadlines(req, QueueKind.EXDS, 3000)
     assert [n.deadline for n in iter_nodes(req)] == [6750, 8250, 9000]
 
 

@@ -289,6 +289,35 @@ def test_cli_refuses_a_bad_trace_row_before_the_run(tmp_path, capsys, row, error
     assert err.startswith(f"config error: {error}"), err
 
 
+HEADER = b"request_id,timestamp,called_ms,exetime,hops_done,called_by\n"
+# input id -> (trace file content, None for no file or "dir" for a directory;
+# what the error says after the path)
+UNREADABLE_TRACES = {
+    "missing": (None, "No such file or directory"),
+    "directory": ("dir", "Is a directory"),
+    "not-utf8": (HEADER + b"0,0,1,1000,0,\n0,\xff,1,1000,0,\n", "not UTF-8 (invalid start byte)"),
+    "field-past-csv-limit": (
+        HEADER + b"0,0,1,1000,0,\n0,0,1," + b"1" * 200_000 + b",0,\n",
+        "line 3: field larger than field limit",
+    ),
+}
+
+
+@pytest.mark.parametrize("content,error", UNREADABLE_TRACES.values(), ids=UNREADABLE_TRACES)
+def test_cli_unreadable_trace_in_exits_1_naming_the_file(tmp_path, capsys, content, error):
+    trace = tmp_path / "trace.csv"
+    if content == "dir":
+        trace.mkdir()
+    elif content is not None:
+        trace.write_bytes(content)
+    cfg = write_config(tmp_path, SMALL)
+    rc = cli_main(["--config", cfg, "--trace-in", str(trace), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"config error: trace_in {trace}: {error}"), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("created_at", [900_000, 5_000_000], ids=["last-batch", "after-end-time"])
 def test_cli_refuses_a_forest_defect_before_the_first_event(tmp_path, capsys, monkeypatch, created_at):
     # more than two check blocks of one-row requests, then one whose child

@@ -172,7 +172,7 @@ def test_backlog_follows_fair_share_requeues():
 # --- deadline assignment ------------------------------------------------------
 
 
-def chain_request(execs, created_at=0, sla=3000):
+def chain_request(execs, created_at=0):
     root = Stage(request_id=0, target=0, exec_time=execs[0], depth=0)
     node = root
     for d in range(1, len(execs)):
@@ -183,8 +183,7 @@ def chain_request(execs, created_at=0, sla=3000):
         node.children = [child]
         node = child
     return ClientRequest(
-        request_id=0, created_at=created_at, sla=sla,
-        max_depth=len(execs) - 1, root_stages=[root],
+        request_id=0, created_at=created_at, max_depth=len(execs) - 1, root_stages=[root],
     )
 
 
@@ -193,20 +192,20 @@ def deadlines(req):
 
 
 def test_eds_depth_two_worked_example():
-    req = chain_request([1000, 1000, 1000], created_at=6000, sla=3000)
-    assign_deadlines(req, QueueKind.EDS, req.sla)
+    req = chain_request([1000, 1000, 1000], created_at=6000)
+    assign_deadlines(req, QueueKind.EDS, 3000)
     assert deadlines(req) == [7000, 8000, 9000]
 
 
 def test_eds_depth_zero_gets_full_sla():
-    req = chain_request([1000], created_at=6000, sla=3000)
-    assign_deadlines(req, QueueKind.EDS, req.sla)
+    req = chain_request([1000], created_at=6000)
+    assign_deadlines(req, QueueKind.EDS, 3000)
     assert deadlines(req) == [9000]
 
 
 def test_eds_single_stage_at_origin():
-    req = chain_request([1000], created_at=0, sla=3000)
-    assign_deadlines(req, QueueKind.EDS, req.sla)
+    req = chain_request([1000], created_at=0)
+    assign_deadlines(req, QueueKind.EDS, 3000)
     assert deadlines(req) == [3000]
 
 
@@ -216,34 +215,34 @@ def test_eds_parallel_tree_divides_by_max_depth():
     deep = chain_request([100, 100])
     shallow = Stage(request_id=0, target=2, exec_time=100, depth=0)
     deep.root_stages.append(shallow)
-    assign_deadlines(deep, QueueKind.EDS, deep.sla)
+    assign_deadlines(deep, QueueKind.EDS, 3000)
     assert shallow.deadline == deep.created_at + 1500  # sla/2, not full sla
 
 
 def test_eds_requires_positive_sla():
-    req = chain_request([100], sla=0)
+    req = chain_request([100])
     with pytest.raises(ConfigError):
-        assign_deadlines(req, QueueKind.EDS, req.sla)
+        assign_deadlines(req, QueueKind.EDS, 0)
 
 
 def test_exds_proportional_worked_example():
-    req = chain_request([500, 1000, 500], created_at=100, sla=3000)
-    assign_deadlines(req, QueueKind.EXDS, req.sla)
+    req = chain_request([500, 1000, 500], created_at=100)
+    assign_deadlines(req, QueueKind.EXDS, 3000)
     assert deadlines(req) == [100 + 750, 100 + 2250, 100 + 3000]
 
 
 def test_exds_equal_execs_collapse_to_eds():
     for execs in ([1000, 1000, 1000], [77, 77]):
-        a = chain_request(list(execs), created_at=40, sla=3000)
-        b = chain_request(list(execs), created_at=40, sla=3000)
-        assign_deadlines(a, QueueKind.EDS, a.sla)
-        assign_deadlines(b, QueueKind.EXDS, b.sla)
+        a = chain_request(list(execs), created_at=40)
+        b = chain_request(list(execs), created_at=40)
+        assign_deadlines(a, QueueKind.EDS, 3000)
+        assign_deadlines(b, QueueKind.EXDS, 3000)
         assert deadlines(a) == deadlines(b)
 
 
 def test_exds_single_stage_gets_full_sla():
-    req = chain_request([123], created_at=7, sla=3000)
-    assign_deadlines(req, QueueKind.EXDS, req.sla)
+    req = chain_request([123], created_at=7)
+    assign_deadlines(req, QueueKind.EXDS, 3000)
     assert deadlines(req) == [3007]
 
 
@@ -251,7 +250,7 @@ def test_exds_parallel_uses_level_max_exec():
     req = chain_request([100, 300])
     sibling = Stage(request_id=0, target=2, exec_time=100, depth=1, called_by=0)
     req.root_stages[0].children.append(sibling)
-    assign_deadlines(req, QueueKind.EXDS, req.sla)
+    assign_deadlines(req, QueueKind.EXDS, 3000)
     # levels: max(100), max(300, 100) -> prefixes 100, 400 of total 400
     ds = deadlines(req)
     assert ds[0] == 750  # 3000 * 100/400

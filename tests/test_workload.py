@@ -240,7 +240,7 @@ def tree(req):
     def node(st):
         return (st.request_id, st.target, st.exec_time, st.depth, st.called_by,
                 tuple(node(c) for c in st.children))
-    return (req.request_id, req.created_at, req.sla, req.max_depth, req.stages,
+    return (req.request_id, req.created_at, req.max_depth, req.stages,
             req.crit_exec, tuple(node(r) for r in req.root_stages))
 
 
@@ -383,7 +383,7 @@ def replay_shape(requests):
     def stage(s):
         return (s.request_id, s.target, s.exec_time, s.depth, s.called_by, [*map(stage, s.children)])
     return [
-        (r.request_id, r.created_at, r.sla, r.max_depth, r.stages, r.crit_exec,
+        (r.request_id, r.created_at, r.max_depth, r.stages, r.crit_exec,
          [*map(stage, r.root_stages)])
         for r in requests
     ]
@@ -393,11 +393,10 @@ def by_arrival(requests):
     return sorted(requests, key=lambda r: (r.created_at, r.request_id))
 
 
-def assert_replays_like_the_row_oracle(rows):
-    """The replay plan builds the trees the row replay builds, or raises its error.
+def assert_replays_like_the_row_oracle(rows, end_time=2**62):
+    """The replay plan admits the trees the row replay builds, or raises its error.
 
-    The plan's requests read alike by iteration, index and slice, and in
-    arrival order from `admitted`.
+    `admitted` gives those created up to `end_time`, in arrival order.
     """
     try:
         want = row_replay.replay_trace(rows)
@@ -406,15 +405,9 @@ def assert_replays_like_the_row_oracle(rows):
             replay_trace(rows)
         assert str(got.value) == str(e)
         return None
-    got = replay_trace(rows)
-    shape = replay_shape(want)
-    assert len(got) == len(want)
-    assert replay_shape(got) == shape
-    assert replay_shape([got[k] for k in range(-len(got), 0)]) == shape
-    assert replay_shape(got[::-1]) == shape[::-1]
-    with pytest.raises(IndexError):
-        got[len(got)]
-    assert replay_shape(got.admitted(None, 0)) == replay_shape(by_arrival(want))
+    got = list(replay_trace(rows).admitted(None, 0, end_time))
+    want = [r for r in by_arrival(want) if r.created_at <= end_time]
+    assert replay_shape(got) == replay_shape(want)
     for req in got:  # one request_id object per request
         assert all(s.request_id is req.request_id for s in iter_nodes(req))
     return got
@@ -459,10 +452,10 @@ def trace_forests(draw, defects=True):
     return rows
 
 
-@given(trace_forests())
+@given(trace_forests(), st.integers(-1, 3))  # timestamps are 0-2
 @settings(max_examples=300, deadline=None)
-def test_replay_matches_the_row_oracle_on_random_forests(rows):
-    assert_replays_like_the_row_oracle(rows)
+def test_replay_matches_the_row_oracle_on_random_forests(rows, end_time):
+    assert_replays_like_the_row_oracle(rows, end_time)
 
 
 @given(
@@ -480,7 +473,8 @@ def test_replayed_deadlines_are_those_assign_deadlines_gives(rows, kind, sla):
     for req in want:
         assign_deadlines(req, kind, sla)
     deadlines = lambda reqs: [[s.deadline for s in iter_nodes(r)] for r in reqs]
-    assert deadlines(replay_trace(rows).admitted(kind, sla)) == deadlines(by_arrival(want))
+    got = replay_trace(rows).admitted(kind, sla, 2**62)
+    assert deadlines(got) == deadlines(by_arrival(want))
 
 
 def test_replay_plan_holds_at_most_12_bytes_per_trace_row():
