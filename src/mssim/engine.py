@@ -3,14 +3,23 @@
 Time is integer microseconds since simulation start. Events fire in
 lexicographic (fire_at, seq) order where seq is insertion order, so
 simultaneous events are delivered first-scheduled-first.
+
+A fair-share instance puts only its completions in the queue, as entries
+of its own (`Engine.push`, `Engine.replace`). The first quantum boundary
+of each run of them still takes a seq, as if scheduled (`Engine.reserve`),
+and a completion that a skipped boundary would have scheduled carries a
+key object in place of its int seq (`instance.FairShareState`). Ordering
+those needs the events fired so far, which the engine then keeps in an
+`EventLog`.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from bisect import bisect_left
+from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -36,6 +45,26 @@ except ImportError:  # pragma: no cover
         handler(payload)
 
 
+class EventLog(list):
+    """The events fired so far, in firing order: (time, seq key, seqs handed
+    out before it fired, that is `Engine._seq` at its pop).
+
+    `cut()` names the latest time that no live fair-share chain can still
+    ask about; every `limit` events the entries up to it are dropped.
+    """
+
+    __slots__ = ("cut", "limit")
+
+    def __init__(self, cut: Callable[[], SimTime], limit: int = 1024):
+        super().__init__()
+        self.cut = cut
+        self.limit = limit
+
+    def trim(self) -> None:
+        # the event firing now stays, whatever the cut
+        del self[:bisect_left(self, (min(self.cut(), self[-1][0] - 1) + 1,))]
+
+
 class Engine:
     """Single-threaded event loop. Not shared across threads.
 
@@ -43,12 +72,14 @@ class Engine:
     `now` to fire_at and calls handler(payload).
     """
 
-    __slots__ = ("now", "_heap", "_seq")
+    __slots__ = ("now", "_heap", "_seq", "log")
 
     def __init__(self) -> None:
         self.now: SimTime = 0
-        self._heap: list[tuple[SimTime, int, Handler, Any]] = []
+        self._heap: list[tuple[SimTime, Any, Handler, Any]] = []
         self._seq = 0
+        # kept only while fair-share instances run (see the module docstring)
+        self.log: Optional[EventLog] = None
 
     def pending(self) -> int:
         return len(self._heap)
@@ -58,6 +89,22 @@ class Engine:
             raise SchedulingInPast(f"event at t={fire_at} scheduled when now={self.now}")
         heappush(self._heap, (fire_at, self._seq, handler, payload))
         self._seq += 1
+
+    def reserve(self) -> int:
+        """The seq of an event that is scheduled but never put in the heap."""
+        seq = self._seq
+        self._seq += 1
+        return seq
+
+    def push(self, entry: tuple) -> None:
+        """Put a heap entry (fire_at, key, handler, payload) with a key of the caller's."""
+        heappush(self._heap, entry)
+
+    def replace(self, old: tuple, new: tuple) -> None:
+        """Put heap entry `new` in place of `old`, an entry in the heap."""
+        heap = self._heap
+        heap[heap.index(old)] = new
+        heapify(heap)
 
     # run_until and drain fire each event as fire(handler, payload); a caller
     # that passes `deliver` explicitly lets a profiler wrap it (bench/tracer.py
@@ -71,9 +118,12 @@ class Engine:
         whole window.
         """
         heap = self._heap
-        while heap and heap[0][0] <= end:
-            self.now, _, handler, payload = heappop(heap)
-            fire(handler, payload)
+        if self.log is None:
+            while heap and heap[0][0] <= end:
+                self.now, _, handler, payload = heappop(heap)
+                fire(handler, payload)
+        else:
+            self._fire_logged(end, fire)
         if end > self.now:
             self.now = end
         return self.now
@@ -81,10 +131,22 @@ class Engine:
     def drain(self, fire: Callable[[Handler, Any], None] = deliver) -> SimTime:
         """Fire every remaining event regardless of time; returns the final clock."""
         heap = self._heap
-        while heap:
-            self.now, _, handler, payload = heappop(heap)
-            fire(handler, payload)
+        if self.log is None:
+            while heap:
+                self.now, _, handler, payload = heappop(heap)
+                fire(handler, payload)
+        else:
+            self._fire_logged(math.inf, fire)
         return self.now
+
+    def _fire_logged(self, end: float, fire: Callable[[Handler, Any], None]) -> None:
+        heap, log = self._heap, self.log
+        while heap and heap[0][0] <= end:
+            self.now, seq, handler, payload = heappop(heap)
+            log.append((self.now, seq, self._seq))
+            if len(log) > log.limit:
+                log.trim()
+            fire(handler, payload)
 
 
 # Fixed stream labels so that changing one model never perturbs another's draws.

@@ -3,19 +3,20 @@
 An instance executes at most one stage slice at a time and is work
 conserving: it never idles while its queue is non-empty. Non-fair-share
 policies run a stage to completion in one slice; fair share runs
-min(remaining, quantum) and re-appends unfinished stages at the tail.
+min(remaining, quantum) and re-appends unfinished stages at the tail
+(`FairShareState`, which schedules only the completions).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Any, Callable, Optional
 
-from .engine import SimTime, round_half_up
+from .engine import Engine, EventLog, SimTime, round_half_up
 from .errors import ConfigError, WrongTarget
 from .model import ClientRequest, InstanceId, Stage
 
@@ -40,25 +41,6 @@ class QueuePolicy:
     def __post_init__(self) -> None:
         if self.quantum <= 0:
             raise ConfigError("quantum must be > 0")
-
-
-class _FifoQueue(deque):
-    """Arrival-order queue; fair-share requeues append at the tail."""
-
-    __slots__ = ("exec_sum",)  # sum of remaining exec over queued stages
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.exec_sum: SimTime = 0
-
-    def push(self, stage: Stage) -> None:
-        self.append(stage)
-        self.exec_sum += stage.remaining
-
-    def take(self) -> Stage:
-        stage = self.popleft()
-        self.exec_sum -= stage.remaining
-        return stage
 
 
 class _KeyedQueue(list):
@@ -93,7 +75,7 @@ class _KeyedQueue(list):
 
 def _make_queue(policy: QueuePolicy):
     if policy.kind is QueueKind.FAIR_SHARE:
-        return _FifoQueue()
+        raise ConfigError("a fair-share instance is a FairShareState")
     if policy.kind.has_deadlines:
         return _KeyedQueue("deadline")
     return _KeyedQueue("remaining" if policy.kind is QueueKind.SHORTEST_FIRST else None)
@@ -108,7 +90,6 @@ class InstanceState:
 
     __slots__ = (
         "id",
-        "quantum",
         "queue",
         "current",
         "slice_start",
@@ -118,8 +99,6 @@ class InstanceState:
 
     def __init__(self, instance_id: InstanceId, policy: QueuePolicy):
         self.id = instance_id
-        # longest slice; only fair share cuts a stage short
-        self.quantum = policy.quantum if policy.kind is QueueKind.FAIR_SHARE else math.inf
         self.queue = _make_queue(policy)
         self.current: Optional[Stage] = None
         self.slice_start: SimTime = 0
@@ -159,42 +138,393 @@ class InstanceState:
         self.queue.push(stage)
         return None
 
-    def _start(self, stage: Stage, now: SimTime) -> SimTime:
-        """Run a slice of `stage` from `now`; returns its end time."""
-        left = stage.remaining
+    def _start(self, stage: Stage, now: SimTime) -> Optional[SimTime]:
+        """Run `stage` from `now` to completion; returns its end time."""
         self.current = stage
         self.slice_start = now
-        self.slice_end = now + (left if left <= self.quantum else self.quantum)
-        return self.slice_end
+        self.slice_end = end = now + stage.remaining
+        return end
 
     def finish_slice(self, now: SimTime) -> tuple[Optional[Stage], Optional[SimTime]]:
-        """End the running slice at `now`.
+        """Complete the running stage at `now`.
 
-        Returns (completed stage or None if requeued, next slice end or None).
+        Returns (the completed stage, next slice end to schedule or None).
         """
         stage = self.current
         assert stage is not None and now == self.slice_end
-        ran = now - self.slice_start
-        self.busy_accum += ran
-        left = stage.remaining - ran
-        stage.remaining = left
+        self.busy_accum += now - self.slice_start
+        stage.remaining = 0
         queue = self.queue
-        if left > 0:
-            # fair share: back to the tail and run the head; alone, the stage
-            # runs on without touching the queue
-            if queue:
-                queue.append(stage)
-                stage = queue.popleft()
-                queue.exec_sum += left - stage.remaining
-                self.current = stage
-                left = stage.remaining
-            self.slice_start = now
-            self.slice_end = end = now + (left if left <= self.quantum else self.quantum)
-            return None, end
         if queue:
             return stage, self._start(queue.take(), now)
         self.current = None
         return stage, None
+
+
+class FairShare:
+    """What the fair-share instances of one run share.
+
+    The engine, whose event log they read; `finish(state)`, which completes
+    the running stage of a settled instance (`InstanceState.finish_slice`
+    and what follows from it); and the live chains (see `FairShareState`)
+    by grid. Chains of one grid have boundaries at the same instants, and
+    they keep the order of their boundaries at every one of them (a
+    boundary follows its predecessor's order), so `lock`, a number per
+    chain, holds that order.
+    """
+
+    def __init__(self, engine: Engine, finish: Callable[[Any], None], quantum: SimTime):
+        self.engine = engine
+        self.finish = finish
+        self.quantum = quantum
+        self.states: list[FairShareState] = []
+        # grid -> its live chains with boundaries, in lock order
+        self.aligned: dict[SimTime, list[FairShareState]] = {}
+        engine.log = EventLog(self.cut)
+
+    def place(self, state: "FairShareState", now: SimTime, peers: list) -> None:
+        """Add the chain that `state` starts at `now` to its grid's `peers`; sets its `lock`."""
+        state.peers = peers
+        pos = 0
+        for i, peer in enumerate(peers):
+            # a peer started at this instant, or whose boundary here fired
+            # before the event firing now, passes this instant first
+            if peer.anchor_t == now or (now < peer.slice_end and peer._fired(now) is not None):
+                pos = i + 1
+        if pos == len(peers):
+            state.lock = peers[-1].lock + 1
+        elif pos == 0:
+            state.lock = peers[0].lock - 1
+        else:
+            # rare enough that its import stays out of every run's set-up
+            from fractions import Fraction
+
+            state.lock = Fraction(peers[pos - 1].lock + peers[pos].lock, 2)
+        peers.insert(pos, state)
+
+    def cut(self) -> SimTime:
+        """The latest time no live chain can still ask the event log about."""
+        last = self.engine.log[-1][0]
+        return min((s.trim_point(last) for s in self.states if s.pending is not None), default=last)
+
+
+class _Rotation(deque):
+    """The stages waiting behind a fair-share instance's `current`, in turn order.
+
+    `push`, which `InstanceState.enqueue` calls, is the instance's `join`.
+    """
+
+    __slots__ = ("push",)
+
+    take = deque.popleft
+
+
+class _Late:
+    """Heap key of an instance's completion when a skipped boundary would have scheduled it.
+
+    That boundary is the instance's `parent`. Against an int seq s the key
+    is earlier iff the boundary fired before s was handed out; against
+    another such key, iff its boundary fired first, which is by time and
+    then by the chains' `lock`. When the completion fires, its log entry
+    gets the same order as a tuple (see `_fired`).
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: "FairShareState"):
+        self.state = state
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    __hash__ = object.__hash__
+
+    def __lt__(self, other: Any) -> bool:
+        state = self.state
+        if type(other) is int:
+            fired = state._fired(state.parent)
+            return fired is not None and fired <= other
+        return (state.parent, state.lock) < (other.state.parent, other.state.lock)
+
+    def __gt__(self, other: Any) -> bool:  # reflected from int < _Late
+        if type(other) is int:
+            fired = self.state._fired(self.state.parent)
+            return fired is None or fired > other
+        return NotImplemented
+
+
+class FairShareState(InstanceState):
+    """A fair-share instance that puts only its completions in the event queue.
+
+    Between two enqueues or completions on one instance, round robin with a
+    quantum is a closed-form function of the turn order and the remaining
+    execs, so the quantum boundaries are not events. The instance schedules
+    its first completion, and brings `current` and `queue` up to date,
+    whole boundaries at a time, only when a stage joins or completes.
+
+    The turn order `current, *queue` is charged lazily too: the stage at
+    turn i has `remaining - served(i)` exec left, where `served(i)` is
+    `base` below turn `mark` and `base + quantum` from it on. A boundary
+    charges the current stage and moves it to the tail, so it moves the
+    mark one turn down. `owed`, all exec left at `slice_start`, makes
+    `backlog` linear in `now` in between, so that it and `busy_time_until`
+    read as with one event per boundary.
+
+    A chain is the run of boundaries from one start of the instance (onto
+    an idle instance, or after a completion) to its next completion, at
+    `anchor_t + k * quantum`. The per-quantum engine scheduled the first
+    one at the start, with the seq `anchor_seq` (reserved here), and each
+    later one when the one before fired. So a boundary fires before a real
+    event of its instant iff its predecessor fired before that event was
+    scheduled, which `_fired` reads from the engine's event log.
+    """
+
+    __slots__ = (
+        "quantum",
+        "run",
+        "late",
+        "fire",
+        "base",
+        "mark",
+        "owed",
+        "anchor_t",
+        "anchor_seq",
+        "lock",
+        "peers",
+        "parent",
+        "pending",
+        "memo_g",
+        "memo_fired",
+    )
+
+    def __init__(self, instance_id: InstanceId, policy: QueuePolicy, run: FairShare):
+        self.id = instance_id
+        self.queue = _Rotation()
+        self.queue.push = self.join
+        self.current = None
+        self.slice_start = self.slice_end = self.busy_accum = 0
+        self.quantum = policy.quantum
+        self.run = run
+        run.states.append(self)
+        self.late = _Late(self)
+        self.fire = self.complete  # the handler of its completion events
+        self.base = self.owed = 0
+        self.mark = 1
+        # the heap entry of the next completion, None while idle or re-arming
+        self.pending: Optional[tuple] = None
+        # the slice of that completion starts at `parent`, a boundary or the anchor
+        self.parent: SimTime = 0
+        self.anchor_t: SimTime = 0
+        self.anchor_seq = -1
+        self.lock: Any = 0
+        self.peers: list[FairShareState] = []  # the live chains of its grid
+        # _fired of the boundary at memo_g, which no later question goes below
+        self.memo_g: SimTime = 0
+        self.memo_fired: Optional[int] = None
+
+    def backlog(self, now: SimTime) -> SimTime:
+        return 0 if self.current is None else self.owed - (now - self.slice_start)
+
+    load_view = backlog
+
+    def _start(self, stage: Stage, now: SimTime) -> None:
+        """Make `stage` current from `now`, the start of a chain.
+
+        A start onto an idle instance is armed at once; one after a
+        completion, of the stage at turn 0, is armed by `complete` once
+        the completed stage's children are dispatched, where the
+        per-quantum engine scheduled that slice.
+        """
+        idle = self.current is None
+        self.current = stage
+        self.slice_start = now
+        if idle:
+            self.base = 0
+            self.mark = 1
+            self.owed = stage.remaining
+            self.arm()
+        else:
+            self.mark -= 1
+            if not self.mark:
+                self.base += self.quantum
+                self.mark = len(self.queue) + 1
+
+    def arm(self) -> None:
+        """Start a chain now: reserve its first boundary's seq, schedule its first completion."""
+        run = self.run
+        engine = run.engine
+        now = engine.now
+        q = self.quantum
+        base = self.base
+        # a stage finishes in its last slice, after `full` whole quanta; the
+        # fewest wins, and the earliest in turn order among equals
+        left = self.current.remaining - base
+        full = (left - 1) // q
+        pos = 0
+        if full:
+            mark = self.mark
+            j = 0
+            for stage in self.queue:
+                j += 1
+                rest = stage.remaining - base if j < mark else stage.remaining - base - q
+                if rest <= full * q:  # fewer whole quanta
+                    left, full, pos = rest, (rest - 1) // q, j
+                    if not full:
+                        break
+        self.anchor_t = self.memo_g = self.parent = now
+        self.anchor_seq = key = engine.reserve()
+        if full or pos:
+            # a chain with boundaries keeps its place among those of its grid
+            self.memo_fired = None
+            peers = run.aligned.get(now % q)
+            if peers is None:
+                self.peers = run.aligned[now % q] = [self]
+                self.lock = 0
+            else:
+                run.place(self, now, peers)
+            key = self.late
+            self.parent += (full * (len(self.queue) + 1) + pos) * q
+        # else it ends in its first slice, and no join moves that
+        self.slice_end = end = self.parent + left - full * q
+        self.pending = entry = (end, key, self.fire, None)
+        engine.push(entry)
+
+    def join(self, stage: Stage) -> None:
+        """Queue `stage` at the tail of the turn order as of now."""
+        queue = self.queue
+        q = self.quantum
+        if self.pending is not None:  # else between a completion and the re-arm
+            parent = self.parent
+            now = self.run.engine.now
+            if now > parent:
+                skipped = (parent - self.slice_start) // q
+            else:
+                skipped, into = divmod(now - self.slice_start, q)
+                if skipped and not into and self._fired(now) is None:
+                    skipped -= 1  # the boundary of this instant comes after this event
+            if skipped:
+                self._skip(skipped)
+            n = len(queue) + 1
+            full = (parent - self.slice_start) // q // n
+            if full:
+                # the first to finish waits one more slice in each of its
+                # rounds, unless the newcomer needs fewer rounds
+                f = (stage.remaining - 1) // q
+                if f < full:
+                    self.parent = self.slice_start + (f * (n + 1) + n) * q
+                    self.slice_end = self.parent + stage.remaining - f * q
+                else:
+                    self.parent = parent + full * q
+                    self.slice_end += full * q
+                entry = (self.slice_end, self.late, self.fire, None)
+                self.run.engine.replace(self.pending, entry)
+                self.pending = entry
+        self.owed += stage.remaining
+        # the tail is past the mark, served base + quantum
+        stage.remaining += self.base + q
+        queue.append(stage)
+
+    def complete(self, _: None) -> None:
+        """The event of the chain's completion: settle, finish the stage, start the next chain."""
+        parent = self.parent
+        if parent != self.anchor_t:
+            # the log entry of this completion gets its key as a tuple
+            log = self.run.engine.log
+            if parent == self.memo_g:  # the log may no longer hold that instant
+                fired = self.memo_fired
+            else:
+                # the first entry at or after `parent`, less than a quantum ago
+                i = len(log) - 1
+                while i and log[i - 1][0] >= parent:
+                    i -= 1
+                fired = log[i][2] if log[i][0] != parent else self._fired(parent)
+            now, _, before = log[-1]
+            log[-1] = (now, (fired - 0.5, parent, self.lock), before)
+            peers = self.peers
+            if len(peers) == 1:
+                del self.run.aligned[self.anchor_t % self.quantum]
+            else:
+                peers.remove(self)
+            # bring the instance to the start of the completing slice
+            self._skip((parent - self.slice_start) // self.quantum)
+        self.pending = None
+        self.owed -= self.slice_end - self.slice_start
+        self.run.finish(self)
+        if self.current is not None:
+            self.arm()
+
+    def _skip(self, boundaries: int) -> None:
+        """Apply the next `boundaries` quantum boundaries: charge and rotate."""
+        if not boundaries:
+            return
+        q = self.quantum
+        charge = boundaries * q
+        self.owed -= charge
+        self.busy_accum += charge
+        self.slice_start += charge
+        if not self.queue:
+            self.base += charge
+            return
+        n = len(self.queue) + 1
+        if boundaries < self.mark:
+            self.mark -= boundaries
+        else:
+            past = boundaries - self.mark
+            self.base += (1 + past // n) * q
+            self.mark = n - past % n
+        turns = boundaries % n
+        if turns:
+            queue = self.queue
+            queue.appendleft(self.current)
+            queue.rotate(-turns)
+            self.current = queue.popleft()
+
+    def trim_point(self, last: SimTime) -> SimTime:
+        """Answer for the latest boundary before `last` once; nothing below it is asked again."""
+        q = self.quantum
+        g = self.anchor_t + (min(last - 1, self.parent) - self.anchor_t) // q * q
+        if g > self.memo_g:
+            self._fired(g)
+        return self.memo_g
+
+    def _fired(self, g: SimTime) -> Optional[int]:
+        """Seqs handed out before this chain's boundary at `g` fired, None if it has not yet.
+
+        A boundary with no logged event at its instant fired before the
+        first event after it. One with events at its instant is placed
+        among them by its own key: the reserved seq for the first boundary,
+        else (seqs before its predecessor fired - 1/2, the predecessor's
+        time, lock); a logged key is an int seq or such a tuple. So the
+        walk goes back one quantum per instant that holds events.
+        """
+        log = self.run.engine.log
+        q = self.quantum
+        points = []
+        t = g
+        fired = self.memo_fired
+        while t > self.memo_g:
+            lo = bisect_left(log, (t,))
+            hi = bisect_left(log, (t + 1,), lo)
+            points.append((t, lo, hi))
+            if lo == hi:
+                break
+            t -= q
+        for t, lo, hi in reversed(points):
+            i = lo
+            if lo < hi:
+                if t - q == self.anchor_t:
+                    mine: tuple = (self.anchor_seq,)
+                else:
+                    mine = (fired - 0.5, t - q, self.lock)
+                while i < hi:
+                    key = log[i][1]
+                    if mine < (key if type(key) is tuple else (key,)):
+                        break
+                    i += 1
+            fired = log[i][2] if i < len(log) else None
+        if g < log[-1][0]:
+            self.memo_g, self.memo_fired = g, fired
+        return fired
 
 
 # --- early-deadline slack division ------------------------------------------

@@ -58,6 +58,9 @@ class RequestRecord:
 
 
 BLOCK = 2048  # rows turned into Python objects at a time
+# rows of an artifact formatted at a time; a BLOCK of them as Python
+# objects would set the heap peak of a replay
+WRITE_ROWS = 256
 _EXACT = 2**53  # integers below this are exact as float64
 
 
@@ -91,11 +94,11 @@ class ColumnView(Sequence):
         i = operator.index(i)
         return self._row(*(int(col[i]) for col in self.columns()))
 
-    def blocks(self) -> Iterator[list[np.ndarray]]:
-        """The columns as int64 arrays, BLOCK rows at a time."""
+    def blocks(self, rows: int = BLOCK) -> Iterator[list[np.ndarray]]:
+        """The columns as int64 arrays, `rows` rows at a time."""
         cols = self.arrays()
-        for start in range(0, len(self), BLOCK):
-            yield [col[start:start + BLOCK] for col in cols]
+        for start in range(0, len(self), rows):
+            yield [col[start:start + rows] for col in cols]
 
     def __iter__(self) -> Iterator[Any]:
         for block in self.blocks():
@@ -353,12 +356,12 @@ def write_requests_csv(sections: Iterable[RecordColumns], fp: io.TextIOBase) -> 
 
     total, wait and slowdown are derived a block at a time as they are
     written, the slowdown as the repr of its double. No field needs CSV
-    quoting, so rows are formatted directly.
+    quoting, so rows are formatted directly, WRITE_ROWS at a time.
     """
     fp.write(",".join(REQUESTS_CSV_HEADER) + "\n")
     for records in sections:
         row = f"{{}},{records.scope},{{}},{{}},{{}},{{}},{{}},{{!r}}\n".format
-        for request_id, created, completed, exec_time in records.blocks():
+        for request_id, created, completed, exec_time in records.blocks(WRITE_ROWS):
             total, slow = _derived(created, completed, exec_time)
             fp.write("".join(map(
                 row, request_id.tolist(), created.tolist(), completed.tolist(),

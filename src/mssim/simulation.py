@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Optional
 
@@ -24,7 +25,7 @@ from .gateway import (
     select_greedy,
     select_least_connection,
 )
-from .instance import InstanceState, QueueKind, assign_deadlines
+from .instance import FairShare, FairShareState, InstanceState, QueueKind, assign_deadlines
 from .metrics import MetricsCollector, RecordColumns, SimReport
 from .model import ClientRequest, InstanceId, Stage
 # the benchmark's per-layer tracer (bench/tracer.py) wraps these names
@@ -59,9 +60,15 @@ class Simulation:
         self.registry = Registry()
         # instances are deployed before the simulation starts; no scaling
         self.instances: list[InstanceState] = []
+        policy = cfg.queue_policy
+        make = partial(InstanceState, policy=policy)
+        if policy.kind is QueueKind.FAIR_SHARE:
+            # its instances schedule their own completion events
+            fair = FairShare(self.engine, self._on_slice_complete, policy.quantum)
+            make = partial(FairShareState, policy=policy, run=fair)
         for ms, n in enumerate(cfg.microservices):
             for slot in range(n):
-                state = InstanceState(InstanceId(ms, slot), cfg.queue_policy)
+                state = make(InstanceId(ms, slot))
                 self.registry.register(state)
                 self.instances.append(state)
         self.collector = MetricsCollector([state.id for state in self.instances])
@@ -116,22 +123,21 @@ class Simulation:
     def _on_slice_complete(self, state: InstanceState) -> None:
         now = self.engine.now
         stage, next_end = state.finish_slice(now)
-        if stage is not None:
-            self.collector.record_stage(stage.request_id, stage.arrival, now, stage.exec_time)
-            client = stage.client
-            # no stage of a finished request points back at it, so reference
-            # counting frees a sampled tree without the cycle collector
-            stage.client = None
-            # forward-only asynchronous communication: children go out now,
-            # the instance is already free
-            for child in stage.children:
-                child.client = client
-                self._dispatch_stage(child, now)
-            client.pending -= 1
-            if client.pending == 0:
-                self.collector.record_client(
-                    client.request_id, client.created_at, now, client.crit_exec
-                )
+        self.collector.record_stage(stage.request_id, stage.arrival, now, stage.exec_time)
+        client = stage.client
+        # no stage of a finished request points back at it, so reference
+        # counting frees a sampled tree without the cycle collector
+        stage.client = None
+        # forward-only asynchronous communication: children go out now,
+        # the instance is already free
+        for child in stage.children:
+            child.client = client
+            self._dispatch_stage(child, now)
+        client.pending -= 1
+        if client.pending == 0:
+            self.collector.record_client(
+                client.request_id, client.created_at, now, client.crit_exec
+            )
         if next_end is not None:
             self.engine.schedule(next_end, self._on_slice_complete, state)
 
@@ -163,6 +169,7 @@ class Simulation:
         drain_until = cfg.end_time
         if cfg.drain:
             drain_until = max(cfg.end_time, self.engine.drain(deliver))
+        self.engine.log = None
         report = self.collector.finalize_report(
             end_time=cfg.end_time,
             drain_until=drain_until,
@@ -202,8 +209,8 @@ def _read_trace_in(cfg: SimConfig) -> ReplayPlan:
             rows = workload.read_trace_csv(fp)
     except OSError as e:  # missing, a directory, unreadable
         raise MalformedTrace(f"trace_in {cfg.trace_in}: {e.strerror}") from None
-    except UnicodeDecodeError as e:  # decoded in chunks, so neither line nor offset is known
-        raise MalformedTrace(f"trace_in {cfg.trace_in}: not UTF-8 ({e.reason})") from None
+    except UnicodeDecodeError as e:  # decoded in chunks, so the bytes are read again per line
+        raise MalformedTrace(f"trace_in {cfg.trace_in}: {_not_utf8(cfg.trace_in, e)}") from None
     except csv.Error as e:  # read_trace_csv names the line
         raise MalformedTrace(f"trace_in {cfg.trace_in}: {e}") from None
     request_id, _, called_ms, _, _, called_by = rows.arrays()
@@ -216,6 +223,17 @@ def _read_trace_in(cfg: SimConfig) -> ReplayPlan:
             f"request {request_id[i]}: microservice {ms} is not deployed (the config has {n})"
         )
     return workload.replay_trace(rows)
+
+
+def _not_utf8(path: str, error: UnicodeDecodeError) -> str:
+    """`line N: not UTF-8 (reason)` for the first line of `path` that does not decode."""
+    with open(path, "rb") as fp:
+        for n, line in enumerate(fp, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return f"line {n}: not UTF-8 ({e.reason})"
+    return f"not UTF-8 ({error.reason})"
 
 
 def run_simulation(

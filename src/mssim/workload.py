@@ -23,7 +23,7 @@ import numpy as np
 from .engine import RngStream, SimTime
 from .errors import ConfigError, MalformedTrace, ValidationError
 from .instance import QueueKind, level_deadlines
-from .metrics import BLOCK, ColumnView
+from .metrics import BLOCK, WRITE_ROWS, ColumnView
 from .model import ClientRequest, Stage
 
 _PROB_TOL = 1e-9
@@ -696,14 +696,14 @@ class TraceColumns(ColumnView):
 def write_trace_csv(rows: Sequence[TraceRow], fp: io.TextIOBase) -> None:
     """UTF-8 CSV, `called_by` empty for depth 0, integer microsecond times.
 
-    Written from columns a block at a time; other sequences of rows are
-    turned into columns first. No field needs CSV quoting, so rows are
-    formatted directly.
+    Written from columns WRITE_ROWS rows at a time; other sequences of
+    rows are turned into columns first. No field needs CSV quoting, so rows
+    are formatted directly.
     """
     if not isinstance(rows, TraceColumns):
         rows = TraceColumns.from_rows(rows)
     fp.write(",".join(TRACE_HEADER) + "\n")
-    for block in rows.blocks():
+    for block in rows.blocks(WRITE_ROWS):
         *head, called_by = (col.tolist() for col in block)
         called_by = ["" if c < 0 else c for c in called_by]
         fp.write("".join(map("{},{},{},{},{},{}\n".format, *head, called_by)))

@@ -22,6 +22,8 @@ from mssim.config import SimConfig
 from mssim.engine import Engine
 from mssim.gateway import LbPolicy
 from mssim.instance import (
+    FairShare,
+    FairShareState,
     InstanceState,
     QueueKind,
     QueuePolicy,
@@ -131,7 +133,6 @@ def test_criterion_1_mg1_wait_matches_oracle():
 def engine_schedule(stages, policy):
     """Completion times from the event engine on one instance."""
     eng = Engine()
-    state = InstanceState(InstanceId(0, 0), policy)
     completion = {}
 
     def on_arrival(stage):
@@ -141,10 +142,15 @@ def engine_schedule(stages, policy):
 
     def on_slice_complete(_):
         done, nxt = state.finish_slice(eng.now)
-        if done is not None:
-            completion[done.request_id] = eng.now
+        completion[done.request_id] = eng.now
         if nxt is not None:
             eng.schedule(nxt, on_slice_complete)
+
+    if policy.kind is QueueKind.FAIR_SHARE:
+        # it schedules its own completion events, and only those
+        state = FairShareState(InstanceId(0, 0), policy, FairShare(eng, on_slice_complete, policy.quantum))
+    else:
+        state = InstanceState(InstanceId(0, 0), policy)
 
     for s in sorted(stages, key=lambda s: (s.arrival, s.request_id)):
         stage = Stage(

@@ -295,7 +295,7 @@ HEADER = b"request_id,timestamp,called_ms,exetime,hops_done,called_by\n"
 UNREADABLE_TRACES = {
     "missing": (None, "No such file or directory"),
     "directory": ("dir", "Is a directory"),
-    "not-utf8": (HEADER + b"0,0,1,1000,0,\n0,\xff,1,1000,0,\n", "not UTF-8 (invalid start byte)"),
+    "not-utf8": (HEADER + b"0,0,1,1000,0,\n0,\xff,1,1000,0,\n", "line 3: not UTF-8 (invalid start byte)"),
     "field-past-csv-limit": (
         HEADER + b"0,0,1,1000,0,\n0,0,1," + b"1" * 200_000 + b",0,\n",
         "line 3: field larger than field limit",

@@ -1,7 +1,10 @@
 import pytest
 
+from mssim.engine import Engine
 from mssim.errors import ConfigError, WrongTarget
 from mssim.instance import (
+    FairShare,
+    FairShareState,
     InstanceState,
     QueueKind,
     QueuePolicy,
@@ -99,51 +102,60 @@ def test_run_to_completion_single_slice():
     assert inst.busy_accum == 1000
 
 
+def fair_share(quantum=500):
+    """An engine, a fair-share instance on it, and the (time, request_id) of each completion."""
+    eng = Engine()
+    done = []
+
+    def finish(state):
+        stage, _ = state.finish_slice(eng.now)
+        done.append((eng.now, stage.request_id))
+
+    run = FairShare(eng, finish, quantum)
+    return eng, FairShareState(InstanceId(0, 0), QueuePolicy(QueueKind.FAIR_SHARE, quantum), run), done
+
+
+def test_instance_state_refuses_fair_share():
+    with pytest.raises(ConfigError):
+        instance(QueueKind.FAIR_SHARE)
+
+
 def test_fair_share_slices_and_requeues():
-    inst = instance(QueueKind.FAIR_SHARE, quantum=500)
-    end = enq(inst, stage(1200), 0)
-    assert end == 500
-    completed, nxt = inst.finish_slice(500)
-    assert completed is None and nxt == 1000  # requeued, picked again alone
-    completed, nxt = inst.finish_slice(1000)
-    assert completed is None and nxt == 1200
-    completed, nxt = inst.finish_slice(1200)
-    assert completed is not None and nxt is None
+    eng, inst, done = fair_share(500)
+    assert enq(inst, stage(1200), 0) is None  # the instance schedules its own completion
+    # one event, at the completion: the boundaries at 500 and 1000 are not events
+    assert eng.pending() == 1
+    assert [inst.backlog(t) for t in (500, 1000)] == [700, 200]
+    eng.drain()
+    assert done == [(1200, 0)]
     assert inst.busy_accum == 1200
 
 
 def test_fair_share_short_job_single_slice():
-    inst = instance(QueueKind.FAIR_SHARE, quantum=500)
-    assert enq(inst, stage(300), 0) == 300
-    completed, _ = inst.finish_slice(300)
-    assert completed is not None
+    eng, inst, done = fair_share(500)
+    enq(inst, stage(300), 0)
+    eng.drain()
+    assert done == [(300, 0)]
 
 
 def test_fair_share_requeue_goes_to_tail():
-    inst = instance(QueueKind.FAIR_SHARE, quantum=500)
+    eng, inst, done = fair_share(500)
     enq(inst, stage(1200, rid=0), 0)
     enq(inst, stage(300, rid=1), 0)
-    _, nxt = inst.finish_slice(500)  # rid 0 requeued behind rid 1
-    assert inst.current.request_id == 1
-    completed, _ = inst.finish_slice(nxt)
-    assert completed.request_id == 1
+    # rid 0 runs to 500 and goes behind rid 1, which completes at 800
+    eng.drain()
+    assert done == [(800, 1), (1500, 0)]
 
 
 def test_work_conservation_and_busy_accounting():
-    inst = instance(QueueKind.FAIR_SHARE, quantum=500)
+    eng, inst, done = fair_share(500)
     enq(inst, stage(700, rid=0), 0)
     enq(inst, stage(600, rid=1), 0)
-    total = 0
-    now = 0
-    while inst.current is not None:
-        now = inst.slice_end
-        before = inst.busy_accum
-        _, nxt = inst.finish_slice(now)
-        total += inst.busy_accum - before
-        if inst.current is not None:
-            assert len(inst.queue) >= 0  # never idle with non-empty queue
-    assert total == inst.busy_accum == 1300
-    assert now == 1300
+    eng.drain()
+    # slices 0-500 (rid 0), 500-1000 (rid 1), 1000-1200 (rid 0), 1200-1300 (rid 1)
+    assert done == [(1200, 0), (1300, 1)]
+    assert inst.busy_accum == inst.busy_time_until(1300) == 1300
+    assert eng.now == 1300 and inst.current is None and not inst.queue
 
 
 def test_backlog_mid_slice():
@@ -157,16 +169,19 @@ def test_backlog_mid_slice():
 
 
 def test_backlog_follows_fair_share_requeues():
-    inst = instance(QueueKind.FAIR_SHARE, quantum=500)
+    eng, inst, done = fair_share(500)
     enq(inst, stage(1200, rid=0), 0)
     enq(inst, stage(700, rid=1), 0)
-    inst.finish_slice(500)  # rid 0 back to the tail with 700 left, rid 1 runs
-    assert inst.current.request_id == 1
-    assert inst.queue.exec_sum == 700
+    assert len(inst.queue) == 1
+    # at 500 rid 0 goes back with 700 left and rid 1 runs
     assert inst.backlog(600) == 700 + 600
-    inst.finish_slice(1000)  # rid 1 requeued with 200 left, rid 0 runs
-    assert inst.queue.exec_sum == 200
+    assert inst.busy_time_until(600) == 600
+    # at 1000 rid 1 goes back with 200 left and rid 0 runs
     assert inst.backlog(1000) == 200 + 700
+    eng.run_until(1000)
+    assert len(inst.queue) == 1 and inst.backlog(1000) == 900
+    eng.drain()
+    assert done == [(1700, 1), (1900, 0)]
 
 
 # --- deadline assignment ------------------------------------------------------
