@@ -6,11 +6,11 @@ simultaneous events are delivered first-scheduled-first.
 
 A fair-share instance puts only its completions in the queue, as entries
 of its own (`Engine.push`, `Engine.replace`). The first quantum boundary
-of each run of them still takes a seq, as if scheduled (`Engine.reserve`),
-and a completion that a skipped boundary would have scheduled carries a
-key object in place of its int seq (`instance.FairShareState`). Ordering
-those needs the events fired so far, which the engine then keeps in an
-`EventLog`.
+of each run of them still takes a seq, as if scheduled (`Engine.reserve`).
+A completion that a later, skipped boundary would have scheduled has the
+instance itself in place of an int seq (`instance.FairShareState`), and
+comparing it needs the events fired so far, which the engine then keeps
+in an `EventLog`.
 """
 
 from __future__ import annotations
@@ -117,30 +117,23 @@ class Engine:
         advances the clock to `end` so utilization denominators cover the
         whole window.
         """
-        heap = self._heap
-        if self.log is None:
-            while heap and heap[0][0] <= end:
-                self.now, _, handler, payload = heappop(heap)
-                fire(handler, payload)
-        else:
-            self._fire_logged(end, fire)
+        self._fire(end, fire)
         if end > self.now:
             self.now = end
         return self.now
 
     def drain(self, fire: Callable[[Handler, Any], None] = deliver) -> SimTime:
         """Fire every remaining event regardless of time; returns the final clock."""
-        heap = self._heap
-        if self.log is None:
-            while heap:
-                self.now, _, handler, payload = heappop(heap)
-                fire(handler, payload)
-        else:
-            self._fire_logged(math.inf, fire)
+        self._fire(math.inf, fire)
         return self.now
 
-    def _fire_logged(self, end: float, fire: Callable[[Handler, Any], None]) -> None:
+    def _fire(self, end: float, fire: Callable[[Handler, Any], None]) -> None:
         heap, log = self._heap, self.log
+        if log is None:
+            while heap and heap[0][0] <= end:
+                self.now, _, handler, payload = heappop(heap)
+                fire(handler, payload)
+            return
         while heap and heap[0][0] <= end:
             self.now, seq, handler, payload = heappop(heap)
             log.append((self.now, seq, self._seq))

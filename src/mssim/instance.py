@@ -14,6 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Any, Callable, Optional
 
 from .engine import Engine, EventLog, SimTime, round_half_up
@@ -173,11 +174,9 @@ class FairShare:
     chain, holds that order.
     """
 
-    def __init__(self, engine: Engine, finish: Callable[[Any], None], quantum: SimTime):
+    def __init__(self, engine: Engine, finish: Callable[[Any], None]):
         self.engine = engine
         self.finish = finish
-        self.quantum = quantum
-        self.states: list[FairShareState] = []
         # grid -> its live chains with boundaries, in lock order
         self.aligned: dict[SimTime, list[FairShareState]] = {}
         engine.log = EventLog(self.cut)
@@ -205,7 +204,9 @@ class FairShare:
     def cut(self) -> SimTime:
         """The latest time no live chain can still ask the event log about."""
         last = self.engine.log[-1][0]
-        return min((s.trim_point(last) for s in self.states if s.pending is not None), default=last)
+        # a chain without boundaries completes with its reserved seq, unasked
+        chains = (s for peers in self.aligned.values() for s in peers)
+        return min((s.trim_point(last) for s in chains), default=last)
 
 
 class _Rotation(deque):
@@ -219,40 +220,6 @@ class _Rotation(deque):
     take = deque.popleft
 
 
-class _Late:
-    """Heap key of an instance's completion when a skipped boundary would have scheduled it.
-
-    That boundary is the instance's `parent`. Against an int seq s the key
-    is earlier iff the boundary fired before s was handed out; against
-    another such key, iff its boundary fired first, which is by time and
-    then by the chains' `lock`. When the completion fires, its log entry
-    gets the same order as a tuple (see `_fired`).
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: "FairShareState"):
-        self.state = state
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    __hash__ = object.__hash__
-
-    def __lt__(self, other: Any) -> bool:
-        state = self.state
-        if type(other) is int:
-            fired = state._fired(state.parent)
-            return fired is not None and fired <= other
-        return (state.parent, state.lock) < (other.state.parent, other.state.lock)
-
-    def __gt__(self, other: Any) -> bool:  # reflected from int < _Late
-        if type(other) is int:
-            fired = self.state._fired(self.state.parent)
-            return fired is None or fired > other
-        return NotImplemented
-
-
 class FairShareState(InstanceState):
     """A fair-share instance that puts only its completions in the event queue.
 
@@ -260,15 +227,10 @@ class FairShareState(InstanceState):
     quantum is a closed-form function of the turn order and the remaining
     execs, so the quantum boundaries are not events. The instance schedules
     its first completion, and brings `current` and `queue` up to date,
-    whole boundaries at a time, only when a stage joins or completes.
-
-    The turn order `current, *queue` is charged lazily too: the stage at
-    turn i has `remaining - served(i)` exec left, where `served(i)` is
-    `base` below turn `mark` and `base + quantum` from it on. A boundary
-    charges the current stage and moves it to the tail, so it moves the
-    mark one turn down. `owed`, all exec left at `slice_start`, makes
-    `backlog` linear in `now` in between, so that it and `busy_time_until`
-    read as with one event per boundary.
+    whole boundaries at a time, only when a stage joins or completes. Each
+    stage's `remaining` is its exec left at `slice_start`. `owed`, all of
+    them together, makes `backlog` linear in `now` in between, so that it
+    and `busy_time_until` read as with one event per boundary.
 
     A chain is the run of boundaries from one start of the instance (onto
     an idle instance, or after a completion) to its next completion, at
@@ -277,15 +239,19 @@ class FairShareState(InstanceState):
     later one when the one before fired. So a boundary fires before a real
     event of its instant iff its predecessor fired before that event was
     scheduled, which `_fired` reads from the engine's event log.
+
+    A completion that a skipped boundary, `parent`, would have scheduled has
+    the instance itself as its heap key. Against an int seq s it is earlier
+    iff that boundary fired before s was handed out; against another
+    instance, iff its boundary fired first, which is by time and then by
+    the chains' `lock`. When the completion fires, its log entry gets the
+    same order as a tuple (see `_fired`).
     """
 
     __slots__ = (
         "quantum",
         "run",
-        "late",
         "fire",
-        "base",
-        "mark",
         "owed",
         "anchor_t",
         "anchor_seq",
@@ -302,14 +268,10 @@ class FairShareState(InstanceState):
         self.queue = _Rotation()
         self.queue.push = self.join
         self.current = None
-        self.slice_start = self.slice_end = self.busy_accum = 0
+        self.slice_start = self.slice_end = self.busy_accum = self.owed = 0
         self.quantum = policy.quantum
         self.run = run
-        run.states.append(self)
-        self.late = _Late(self)
         self.fire = self.complete  # the handler of its completion events
-        self.base = self.owed = 0
-        self.mark = 1
         # the heap entry of the next completion, None while idle or re-arming
         self.pending: Optional[tuple] = None
         # the slice of that completion starts at `parent`, a boundary or the anchor
@@ -327,6 +289,17 @@ class FairShareState(InstanceState):
 
     load_view = backlog
 
+    # the order of its completion's heap key (see the class docstring)
+
+    def __lt__(self, other: Any) -> bool:
+        if type(other) is int:
+            fired = self._fired(self.parent)
+            return fired is not None and fired <= other
+        return (self.parent, self.lock) < (other.parent, other.lock)
+
+    def __gt__(self, other: Any) -> bool:  # reflected from int < state, never equal
+        return not self < other if type(other) is int else NotImplemented
+
     def _start(self, stage: Stage, now: SimTime) -> None:
         """Make `stage` current from `now`, the start of a chain.
 
@@ -339,90 +312,77 @@ class FairShareState(InstanceState):
         self.current = stage
         self.slice_start = now
         if idle:
-            self.base = 0
-            self.mark = 1
             self.owed = stage.remaining
             self.arm()
-        else:
-            self.mark -= 1
-            if not self.mark:
-                self.base += self.quantum
-                self.mark = len(self.queue) + 1
 
     def arm(self) -> None:
         """Start a chain now: reserve its first boundary's seq, schedule its first completion."""
         run = self.run
         engine = run.engine
         now = engine.now
-        q = self.quantum
-        base = self.base
-        # a stage finishes in its last slice, after `full` whole quanta; the
-        # fewest wins, and the earliest in turn order among equals
-        left = self.current.remaining - base
-        full = (left - 1) // q
-        pos = 0
-        if full:
-            mark = self.mark
-            j = 0
-            for stage in self.queue:
-                j += 1
-                rest = stage.remaining - base if j < mark else stage.remaining - base - q
-                if rest <= full * q:  # fewer whole quanta
-                    left, full, pos = rest, (rest - 1) // q, j
-                    if not full:
-                        break
-        self.anchor_t = self.memo_g = self.parent = now
+        self.anchor_t = self.memo_g = now
         self.anchor_seq = key = engine.reserve()
-        if full or pos:
+        self._first()
+        if self.parent != now:
             # a chain with boundaries keeps its place among those of its grid
             self.memo_fired = None
-            peers = run.aligned.get(now % q)
+            grid = now % self.quantum
+            peers = run.aligned.get(grid)
             if peers is None:
-                self.peers = run.aligned[now % q] = [self]
+                self.peers = run.aligned[grid] = [self]
                 self.lock = 0
             else:
                 run.place(self, now, peers)
-            key = self.late
-            self.parent += (full * (len(self.queue) + 1) + pos) * q
+            key = self
         # else it ends in its first slice, and no join moves that
-        self.slice_end = end = self.parent + left - full * q
-        self.pending = entry = (end, key, self.fire, None)
+        self.pending = entry = (self.slice_end, key, self.fire, None)
         engine.push(entry)
+
+    def _first(self) -> None:
+        """Set `parent` and `slice_end` to the first finisher's last slice, from `slice_start` on.
+
+        A stage finishes in its last slice, after `full` whole quanta; the
+        fewest wins, and the earliest in turn order among equals.
+        """
+        q = self.quantum
+        left = self.current.remaining
+        full = (left - 1) // q
+        pos = 0
+        if full:
+            for j, stage in enumerate(self.queue, 1):
+                if stage.remaining <= full * q:  # fewer whole quanta
+                    left, pos = stage.remaining, j
+                    full = (left - 1) // q
+                    if not full:
+                        break
+        self.parent = self.slice_start + (full * (len(self.queue) + 1) + pos) * q
+        self.slice_end = self.parent + left - full * q
 
     def join(self, stage: Stage) -> None:
         """Queue `stage` at the tail of the turn order as of now."""
         queue = self.queue
-        q = self.quantum
-        if self.pending is not None:  # else between a completion and the re-arm
-            parent = self.parent
-            now = self.run.engine.now
-            if now > parent:
-                skipped = (parent - self.slice_start) // q
-            else:
-                skipped, into = divmod(now - self.slice_start, q)
-                if skipped and not into and self._fired(now) is None:
-                    skipped -= 1  # the boundary of this instant comes after this event
-            if skipped:
-                self._skip(skipped)
-            n = len(queue) + 1
-            full = (parent - self.slice_start) // q // n
-            if full:
-                # the first to finish waits one more slice in each of its
-                # rounds, unless the newcomer needs fewer rounds
-                f = (stage.remaining - 1) // q
-                if f < full:
-                    self.parent = self.slice_start + (f * (n + 1) + n) * q
-                    self.slice_end = self.parent + stage.remaining - f * q
-                else:
-                    self.parent = parent + full * q
-                    self.slice_end += full * q
-                entry = (self.slice_end, self.late, self.fire, None)
-                self.run.engine.replace(self.pending, entry)
-                self.pending = entry
         self.owed += stage.remaining
-        # the tail is past the mark, served base + quantum
-        stage.remaining += self.base + q
+        if self.pending is None:  # between a completion and the re-arm
+            queue.append(stage)
+            return
+        q = self.quantum
+        parent = self.parent
+        now = self.run.engine.now
+        if now > parent:
+            skipped = (parent - self.slice_start) // q
+        else:
+            skipped, into = divmod(now - self.slice_start, q)
+            if skipped and not into and self._fired(now) is None:
+                skipped -= 1  # the boundary of this instant comes after this event
+        self._skip(skipped)
         queue.append(stage)
+        # unless the first finisher ends within this round, the newcomer
+        # takes a turn before it does
+        if parent - self.slice_start >= len(queue) * q:
+            self._first()
+            entry = (self.slice_end, self, self.fire, None)
+            self.run.engine.replace(self.pending, entry)
+            self.pending = entry
 
     def complete(self, _: None) -> None:
         """The event of the chain's completion: settle, finish the stage, start the next chain."""
@@ -454,7 +414,11 @@ class FairShareState(InstanceState):
             self.arm()
 
     def _skip(self, boundaries: int) -> None:
-        """Apply the next `boundaries` quantum boundaries: charge and rotate."""
+        """Apply the next `boundaries` quantum boundaries: charge and rotate.
+
+        Of n stages in turn order, each runs `boundaries // n` whole quanta
+        of them, and the first `boundaries % n` one more.
+        """
         if not boundaries:
             return
         q = self.quantum
@@ -462,22 +426,20 @@ class FairShareState(InstanceState):
         self.owed -= charge
         self.busy_accum += charge
         self.slice_start += charge
-        if not self.queue:
-            self.base += charge
+        queue = self.queue
+        if not queue:
+            self.current.remaining -= charge
             return
-        n = len(self.queue) + 1
-        if boundaries < self.mark:
-            self.mark -= boundaries
-        else:
-            past = boundaries - self.mark
-            self.base += (1 + past // n) * q
-            self.mark = n - past % n
-        turns = boundaries % n
-        if turns:
-            queue = self.queue
-            queue.appendleft(self.current)
-            queue.rotate(-turns)
-            self.current = queue.popleft()
+        queue.appendleft(self.current)
+        rounds, turns = divmod(boundaries, len(queue))
+        if rounds:
+            whole = rounds * q
+            for stage in queue:
+                stage.remaining -= whole
+        for stage in islice(queue, turns):
+            stage.remaining -= q
+        queue.rotate(-turns)
+        self.current = queue.popleft()
 
     def trim_point(self, last: SimTime) -> SimTime:
         """Answer for the latest boundary before `last` once; nothing below it is asked again."""

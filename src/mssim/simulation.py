@@ -64,7 +64,7 @@ class Simulation:
         make = partial(InstanceState, policy=policy)
         if policy.kind is QueueKind.FAIR_SHARE:
             # its instances schedule their own completion events
-            fair = FairShare(self.engine, self._on_slice_complete, policy.quantum)
+            fair = FairShare(self.engine, self._on_slice_complete)
             make = partial(FairShareState, policy=policy, run=fair)
         for ms, n in enumerate(cfg.microservices):
             for slot in range(n):

@@ -148,7 +148,7 @@ def engine_schedule(stages, policy):
 
     if policy.kind is QueueKind.FAIR_SHARE:
         # it schedules its own completion events, and only those
-        state = FairShareState(InstanceId(0, 0), policy, FairShare(eng, on_slice_complete, policy.quantum))
+        state = FairShareState(InstanceId(0, 0), policy, FairShare(eng, on_slice_complete))
     else:
         state = InstanceState(InstanceId(0, 0), policy)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mssim.engine import Engine
@@ -11,6 +13,7 @@ from mssim.instance import (
     assign_deadlines,
 )
 from mssim.model import ClientRequest, InstanceId, Stage, iter_nodes
+from quantum_oracle import QuantumInstance
 
 
 def stage(exec_time, rid=0, arrival=0, deadline=None, target=0):
@@ -111,7 +114,7 @@ def fair_share(quantum=500):
         stage, _ = state.finish_slice(eng.now)
         done.append((eng.now, stage.request_id))
 
-    run = FairShare(eng, finish, quantum)
+    run = FairShare(eng, finish)
     return eng, FairShareState(InstanceId(0, 0), QueuePolicy(QueueKind.FAIR_SHARE, quantum), run), done
 
 
@@ -182,6 +185,57 @@ def test_backlog_follows_fair_share_requeues():
     assert len(inst.queue) == 1 and inst.backlog(1000) == 900
     eng.drain()
     assert done == [(1700, 1), (1900, 0)]
+
+
+def turn_orders(eng, inst, arrivals, on_start=None):
+    """Enqueue `arrivals` on `inst`, each event scheduling the next; after
+    every enqueue, the slice start and (request_id, remaining) in turn order."""
+    seen = []
+
+    def arrive(i):
+        t, rid, exec_time = arrivals[i]
+        end = enq(inst, stage(exec_time, rid=rid), t)
+        if end is not None:
+            on_start(end)
+        turns = [(s.request_id, s.remaining) for s in (inst.current, *inst.queue)]
+        seen.append((inst.slice_start, turns))
+        if i + 1 < len(arrivals):
+            eng.schedule(arrivals[i + 1][0], arrive, i + 1)
+
+    eng.schedule(arrivals[0][0], arrive, 0)
+    eng.drain()
+    return seen
+
+
+def test_fair_share_turn_order_matches_the_per_quantum_instance_after_every_join():
+    # an enqueue on a boundary's instant comes before or after that boundary
+    # as the seqs fall; `remaining` is exec left at the slice start, queued
+    # stages included
+    for seed in range(300):
+        rng = random.Random(seed)
+        quantum = rng.choice((1, 3, 5))
+        arrivals = []
+        t = 0
+        for rid in range(rng.randint(1, 10)):
+            t += rng.randint(0, 6)
+            arrivals.append((t, rid, rng.randint(1, 16)))
+        eng, inst, done = fair_share(quantum)
+        seen = turn_orders(eng, inst, arrivals)
+
+        oracle_eng, oracle = Engine(), QuantumInstance(InstanceId(0, 0), quantum)
+        oracle_done = []
+
+        def slice_end(_):
+            finished, nxt = oracle.finish_slice(oracle_eng.now)
+            if finished is not None:
+                oracle_done.append((oracle_eng.now, finished.request_id))
+            if nxt is not None:
+                oracle_eng.schedule(nxt, slice_end)
+
+        start = lambda end: oracle_eng.schedule(end, slice_end)
+        expected = turn_orders(oracle_eng, oracle, arrivals, start)
+        assert seen == expected, seed
+        assert done == oracle_done, seed
 
 
 # --- deadline assignment ------------------------------------------------------

@@ -156,14 +156,15 @@ def test_event_log_keeps_only_what_live_chains_can_ask_about(monkeypatch):
                  communication=CommunicationModel(comm_probabilities=(0.62, 0.18, 0.08, 0.12)))
     sim = Simulation(cfg)
     log = sim.engine.log
+    aligned = sim.instances[0].run.aligned
     trims, longest = [], [0]
     trim = EventLog.trim
 
     def checked_trim(self):
         longest[0] = max(longest[0], len(self))
         trim(self)
-        live = [s.anchor_t for s in sim.instances if s.pending is not None]
-        # what stays is newer than the start of the oldest live chain
+        live = [s.anchor_t for peers in aligned.values() for s in peers]
+        # what stays is newer than the start of the oldest chain that asks the log
         assert not live or self[0][0] > min(live) or self[0][0] == self[-1][0]
         trims.append(len(self))
 
