@@ -4,22 +4,25 @@ Time is integer microseconds since simulation start. Events fire in
 lexicographic (fire_at, seq) order where seq is insertion order, so
 simultaneous events are delivered first-scheduled-first.
 
-A fair-share instance puts only its completions in the queue, as entries
-of its own (`Engine.push`, `Engine.replace`). The first quantum boundary
-of each run of them still takes a seq, as if scheduled (`Engine.reserve`).
-A completion that a later, skipped boundary would have scheduled has the
-instance itself in place of an int seq (`instance.FairShareState`), and
-comparing it needs the events fired so far, which the engine then keeps
-in an `EventLog`.
+Same-instant order under fair share. A fair-share instance fires no event
+at its quantum boundaries (`instance.FairShareState`); two rules fix where
+they fall among the events of one instant:
+
+1. A quantum boundary at t takes effect after every event at t, so an
+   event at t sees an instance as it was after its boundaries before t.
+2. A completion is an ordinary (fire_at, seq) entry whose seq is taken
+   when its instance starts the chain of slices that ends in it, from
+   idle or after the completion before, as for every other queue policy.
+   A stage that joins later can move its time (`Engine.replace`) but not
+   its seq.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -45,26 +48,6 @@ except ImportError:  # pragma: no cover
         handler(payload)
 
 
-class EventLog(list):
-    """The events fired so far, in firing order: (time, seq key, seqs handed
-    out before it fired, that is `Engine._seq` at its pop).
-
-    `cut()` names the latest time that no live fair-share chain can still
-    ask about; every `limit` events the entries up to it are dropped.
-    """
-
-    __slots__ = ("cut", "limit")
-
-    def __init__(self, cut: Callable[[], SimTime], limit: int = 1024):
-        super().__init__()
-        self.cut = cut
-        self.limit = limit
-
-    def trim(self) -> None:
-        # the event firing now stays, whatever the cut
-        del self[:bisect_left(self, (min(self.cut(), self[-1][0] - 1) + 1,))]
-
-
 class Engine:
     """Single-threaded event loop. Not shared across threads.
 
@@ -72,33 +55,24 @@ class Engine:
     `now` to fire_at and calls handler(payload).
     """
 
-    __slots__ = ("now", "_heap", "_seq", "log")
+    __slots__ = ("now", "_heap", "_seq")
 
     def __init__(self) -> None:
         self.now: SimTime = 0
-        self._heap: list[tuple[SimTime, Any, Handler, Any]] = []
+        self._heap: list[tuple[SimTime, int, Handler, Any]] = []
         self._seq = 0
-        # kept only while fair-share instances run (see the module docstring)
-        self.log: Optional[EventLog] = None
 
     def pending(self) -> int:
         return len(self._heap)
 
-    def schedule(self, fire_at: SimTime, handler: Handler, payload: Any = None) -> None:
+    def schedule(self, fire_at: SimTime, handler: Handler, payload: Any = None) -> tuple:
+        """Queue handler(payload) at `fire_at`; returns its heap entry (see `replace`)."""
         if fire_at < self.now:
             raise SchedulingInPast(f"event at t={fire_at} scheduled when now={self.now}")
-        heappush(self._heap, (fire_at, self._seq, handler, payload))
-        self._seq += 1
-
-    def reserve(self) -> int:
-        """The seq of an event that is scheduled but never put in the heap."""
-        seq = self._seq
-        self._seq += 1
-        return seq
-
-    def push(self, entry: tuple) -> None:
-        """Put a heap entry (fire_at, key, handler, payload) with a key of the caller's."""
+        entry = (fire_at, self._seq, handler, payload)
         heappush(self._heap, entry)
+        self._seq += 1
+        return entry
 
     def replace(self, old: tuple, new: tuple) -> None:
         """Put heap entry `new` in place of `old`, an entry in the heap."""
@@ -128,17 +102,9 @@ class Engine:
         return self.now
 
     def _fire(self, end: float, fire: Callable[[Handler, Any], None]) -> None:
-        heap, log = self._heap, self.log
-        if log is None:
-            while heap and heap[0][0] <= end:
-                self.now, _, handler, payload = heappop(heap)
-                fire(handler, payload)
-            return
+        heap = self._heap
         while heap and heap[0][0] <= end:
-            self.now, seq, handler, payload = heappop(heap)
-            log.append((self.now, seq, self._seq))
-            if len(log) > log.limit:
-                log.trim()
+            self.now, _, handler, payload = heappop(heap)
             fire(handler, payload)
 
 

@@ -10,14 +10,13 @@ min(remaining, quantum) and re-appends unfinished stages at the tail
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Any, Callable, Optional
 
-from .engine import Engine, EventLog, SimTime, round_half_up
+from .engine import Engine, SimTime, round_half_up
 from .errors import ConfigError, WrongTarget
 from .model import ClientRequest, InstanceId, Stage
 
@@ -162,53 +161,6 @@ class InstanceState:
         return stage, None
 
 
-class FairShare:
-    """What the fair-share instances of one run share.
-
-    The engine, whose event log they read; `finish(state)`, which completes
-    the running stage of a settled instance (`InstanceState.finish_slice`
-    and what follows from it); and the live chains (see `FairShareState`)
-    by grid. Chains of one grid have boundaries at the same instants, and
-    they keep the order of their boundaries at every one of them (a
-    boundary follows its predecessor's order), so `lock`, a number per
-    chain, holds that order.
-    """
-
-    def __init__(self, engine: Engine, finish: Callable[[Any], None]):
-        self.engine = engine
-        self.finish = finish
-        # grid -> its live chains with boundaries, in lock order
-        self.aligned: dict[SimTime, list[FairShareState]] = {}
-        engine.log = EventLog(self.cut)
-
-    def place(self, state: "FairShareState", now: SimTime, peers: list) -> None:
-        """Add the chain that `state` starts at `now` to its grid's `peers`; sets its `lock`."""
-        state.peers = peers
-        pos = 0
-        for i, peer in enumerate(peers):
-            # a peer started at this instant, or whose boundary here fired
-            # before the event firing now, passes this instant first
-            if peer.anchor_t == now or (now < peer.slice_end and peer._fired(now) is not None):
-                pos = i + 1
-        if pos == len(peers):
-            state.lock = peers[-1].lock + 1
-        elif pos == 0:
-            state.lock = peers[0].lock - 1
-        else:
-            # rare enough that its import stays out of every run's set-up
-            from fractions import Fraction
-
-            state.lock = Fraction(peers[pos - 1].lock + peers[pos].lock, 2)
-        peers.insert(pos, state)
-
-    def cut(self) -> SimTime:
-        """The latest time no live chain can still ask the event log about."""
-        last = self.engine.log[-1][0]
-        # a chain without boundaries completes with its reserved seq, unasked
-        chains = (s for peers in self.aligned.values() for s in peers)
-        return min((s.trim_point(last) for s in chains), default=last)
-
-
 class _Rotation(deque):
     """The stages waiting behind a fair-share instance's `current`, in turn order.
 
@@ -232,81 +184,51 @@ class FairShareState(InstanceState):
     them together, makes `backlog` linear in `now` in between, so that it
     and `busy_time_until` read as with one event per boundary.
 
-    A chain is the run of boundaries from one start of the instance (onto
-    an idle instance, or after a completion) to its next completion, at
-    `anchor_t + k * quantum`. The per-quantum engine scheduled the first
-    one at the start, with the seq `anchor_seq` (reserved here), and each
-    later one when the one before fired. So a boundary fires before a real
-    event of its instant iff its predecessor fired before that event was
-    scheduled, which `_fired` reads from the engine's event log.
-
-    A completion that a skipped boundary, `parent`, would have scheduled has
-    the instance itself as its heap key. Against an int seq s it is earlier
-    iff that boundary fired before s was handed out; against another
-    instance, iff its boundary fired first, which is by time and then by
-    the chains' `lock`. When the completion fires, its log entry gets the
-    same order as a tuple (see `_fired`).
+    Where a boundary and a completion fall among the other events of their
+    instant is the engine's same-instant order (`mssim.engine`): a join at
+    t sees the boundaries before t only, and the completion keeps the seq
+    of the chain it ends. A chain is the run of slices from one start of
+    the instance, onto an idle instance or after a completion, to its next
+    completion.
     """
 
-    __slots__ = (
-        "quantum",
-        "run",
-        "fire",
-        "owed",
-        "anchor_t",
-        "anchor_seq",
-        "lock",
-        "peers",
-        "parent",
-        "pending",
-        "memo_g",
-        "memo_fired",
-    )
+    __slots__ = ("quantum", "engine", "finish", "fire", "owed", "parent", "pending")
 
-    def __init__(self, instance_id: InstanceId, policy: QueuePolicy, run: FairShare):
+    def __init__(
+        self,
+        instance_id: InstanceId,
+        policy: QueuePolicy,
+        engine: Engine,
+        finish: Callable[[Any], None],
+    ):
         self.id = instance_id
         self.queue = _Rotation()
         self.queue.push = self.join
         self.current = None
         self.slice_start = self.slice_end = self.busy_accum = self.owed = 0
         self.quantum = policy.quantum
-        self.run = run
+        self.engine = engine
+        # completes the running stage (`InstanceState.finish_slice` and what
+        # follows from it) when its completion event fires
+        self.finish = finish
         self.fire = self.complete  # the handler of its completion events
         # the heap entry of the next completion, None while idle or re-arming
         self.pending: Optional[tuple] = None
-        # the slice of that completion starts at `parent`, a boundary or the anchor
+        # the slice of that completion starts at `parent`, a boundary or the chain's start
         self.parent: SimTime = 0
-        self.anchor_t: SimTime = 0
-        self.anchor_seq = -1
-        self.lock: Any = 0
-        self.peers: list[FairShareState] = []  # the live chains of its grid
-        # _fired of the boundary at memo_g, which no later question goes below
-        self.memo_g: SimTime = 0
-        self.memo_fired: Optional[int] = None
 
     def backlog(self, now: SimTime) -> SimTime:
         return 0 if self.current is None else self.owed - (now - self.slice_start)
 
     load_view = backlog
 
-    # the order of its completion's heap key (see the class docstring)
-
-    def __lt__(self, other: Any) -> bool:
-        if type(other) is int:
-            fired = self._fired(self.parent)
-            return fired is not None and fired <= other
-        return (self.parent, self.lock) < (other.parent, other.lock)
-
-    def __gt__(self, other: Any) -> bool:  # reflected from int < state, never equal
-        return not self < other if type(other) is int else NotImplemented
-
     def _start(self, stage: Stage, now: SimTime) -> None:
         """Make `stage` current from `now`, the start of a chain.
 
         A start onto an idle instance is armed at once; one after a
         completion, of the stage at turn 0, is armed by `complete` once
-        the completed stage's children are dispatched, where the
-        per-quantum engine scheduled that slice.
+        the completed stage's children are dispatched, where another
+        policy's instance schedules its next completion.
         """
         idle = self.current is None
         self.current = stage
@@ -316,27 +238,9 @@ class FairShareState(InstanceState):
             self.arm()
 
     def arm(self) -> None:
-        """Start a chain now: reserve its first boundary's seq, schedule its first completion."""
-        run = self.run
-        engine = run.engine
-        now = engine.now
-        self.anchor_t = self.memo_g = now
-        self.anchor_seq = key = engine.reserve()
+        """Schedule the completion that ends the chain starting now; its seq is taken here."""
         self._first()
-        if self.parent != now:
-            # a chain with boundaries keeps its place among those of its grid
-            self.memo_fired = None
-            grid = now % self.quantum
-            peers = run.aligned.get(grid)
-            if peers is None:
-                self.peers = run.aligned[grid] = [self]
-                self.lock = 0
-            else:
-                run.place(self, now, peers)
-            key = self
-        # else it ends in its first slice, and no join moves that
-        self.pending = entry = (self.slice_end, key, self.fire, None)
-        engine.push(entry)
+        self.pending = self.engine.schedule(self.slice_end, self.fire)
 
     def _first(self) -> None:
         """Set `parent` and `slice_end` to the first finisher's last slice, from `slice_start` on.
@@ -367,49 +271,27 @@ class FairShareState(InstanceState):
             return
         q = self.quantum
         parent = self.parent
-        now = self.run.engine.now
-        if now > parent:
-            skipped = (parent - self.slice_start) // q
-        else:
-            skipped, into = divmod(now - self.slice_start, q)
-            if skipped and not into and self._fired(now) is None:
-                skipped -= 1  # the boundary of this instant comes after this event
-        self._skip(skipped)
+        now = self.engine.now
+        if now > self.slice_start:
+            # the boundaries before now, up to the completing slice's start;
+            # one at now takes effect after this event
+            self._skip((min(now - 1, parent) - self.slice_start) // q)
         queue.append(stage)
         # unless the first finisher ends within this round, the newcomer
         # takes a turn before it does
         if parent - self.slice_start >= len(queue) * q:
             self._first()
-            entry = (self.slice_end, self, self.fire, None)
-            self.run.engine.replace(self.pending, entry)
-            self.pending = entry
+            old = self.pending
+            self.pending = (self.slice_end, old[1], self.fire, None)
+            self.engine.replace(old, self.pending)
 
     def complete(self, _: None) -> None:
-        """The event of the chain's completion: settle, finish the stage, start the next chain."""
-        parent = self.parent
-        if parent != self.anchor_t:
-            # the log entry of this completion gets its key as a tuple
-            log = self.run.engine.log
-            if parent == self.memo_g:  # the log may no longer hold that instant
-                fired = self.memo_fired
-            else:
-                # the first entry at or after `parent`, less than a quantum ago
-                i = len(log) - 1
-                while i and log[i - 1][0] >= parent:
-                    i -= 1
-                fired = log[i][2] if log[i][0] != parent else self._fired(parent)
-            now, _, before = log[-1]
-            log[-1] = (now, (fired - 0.5, parent, self.lock), before)
-            peers = self.peers
-            if len(peers) == 1:
-                del self.run.aligned[self.anchor_t % self.quantum]
-            else:
-                peers.remove(self)
-            # bring the instance to the start of the completing slice
-            self._skip((parent - self.slice_start) // self.quantum)
+        """The event of the chain's completion: finish the stage, start the next chain."""
+        # bring the instance to the start of the completing slice
+        self._skip((self.parent - self.slice_start) // self.quantum)
         self.pending = None
         self.owed -= self.slice_end - self.slice_start
-        self.run.finish(self)
+        self.finish(self)
         if self.current is not None:
             self.arm()
 
@@ -440,53 +322,6 @@ class FairShareState(InstanceState):
             stage.remaining -= q
         queue.rotate(-turns)
         self.current = queue.popleft()
-
-    def trim_point(self, last: SimTime) -> SimTime:
-        """Answer for the latest boundary before `last` once; nothing below it is asked again."""
-        q = self.quantum
-        g = self.anchor_t + (min(last - 1, self.parent) - self.anchor_t) // q * q
-        if g > self.memo_g:
-            self._fired(g)
-        return self.memo_g
-
-    def _fired(self, g: SimTime) -> Optional[int]:
-        """Seqs handed out before this chain's boundary at `g` fired, None if it has not yet.
-
-        A boundary with no logged event at its instant fired before the
-        first event after it. One with events at its instant is placed
-        among them by its own key: the reserved seq for the first boundary,
-        else (seqs before its predecessor fired - 1/2, the predecessor's
-        time, lock); a logged key is an int seq or such a tuple. So the
-        walk goes back one quantum per instant that holds events.
-        """
-        log = self.run.engine.log
-        q = self.quantum
-        points = []
-        t = g
-        fired = self.memo_fired
-        while t > self.memo_g:
-            lo = bisect_left(log, (t,))
-            hi = bisect_left(log, (t + 1,), lo)
-            points.append((t, lo, hi))
-            if lo == hi:
-                break
-            t -= q
-        for t, lo, hi in reversed(points):
-            i = lo
-            if lo < hi:
-                if t - q == self.anchor_t:
-                    mine: tuple = (self.anchor_seq,)
-                else:
-                    mine = (fired - 0.5, t - q, self.lock)
-                while i < hi:
-                    key = log[i][1]
-                    if mine < (key if type(key) is tuple else (key,)):
-                        break
-                    i += 1
-            fired = log[i][2] if i < len(log) else None
-        if g < log[-1][0]:
-            self.memo_g, self.memo_fired = g, fired
-        return fired
 
 
 # --- early-deadline slack division ------------------------------------------

@@ -25,7 +25,7 @@ from .gateway import (
     select_greedy,
     select_least_connection,
 )
-from .instance import FairShare, FairShareState, InstanceState, QueueKind, assign_deadlines
+from .instance import FairShareState, InstanceState, QueueKind, assign_deadlines
 from .metrics import MetricsCollector, RecordColumns, SimReport
 from .model import ClientRequest, InstanceId, Stage
 # the benchmark's per-layer tracer (bench/tracer.py) wraps these names
@@ -64,8 +64,9 @@ class Simulation:
         make = partial(InstanceState, policy=policy)
         if policy.kind is QueueKind.FAIR_SHARE:
             # its instances schedule their own completion events
-            fair = FairShare(self.engine, self._on_slice_complete)
-            make = partial(FairShareState, policy=policy, run=fair)
+            make = partial(
+                FairShareState, policy=policy, engine=self.engine, finish=self._on_slice_complete
+            )
         for ms, n in enumerate(cfg.microservices):
             for slot in range(n):
                 state = make(InstanceId(ms, slot))
@@ -169,7 +170,6 @@ class Simulation:
         drain_until = cfg.end_time
         if cfg.drain:
             drain_until = max(cfg.end_time, self.engine.drain(deliver))
-        self.engine.log = None
         report = self.collector.finalize_report(
             end_time=cfg.end_time,
             drain_until=drain_until,

@@ -22,7 +22,6 @@ from mssim.config import SimConfig
 from mssim.engine import Engine
 from mssim.gateway import LbPolicy
 from mssim.instance import (
-    FairShare,
     FairShareState,
     InstanceState,
     QueueKind,
@@ -148,7 +147,7 @@ def engine_schedule(stages, policy):
 
     if policy.kind is QueueKind.FAIR_SHARE:
         # it schedules its own completion events, and only those
-        state = FairShareState(InstanceId(0, 0), policy, FairShare(eng, on_slice_complete))
+        state = FairShareState(InstanceId(0, 0), policy, eng, on_slice_complete)
     else:
         state = InstanceState(InstanceId(0, 0), policy)
 

@@ -6,6 +6,8 @@ values were computed at the commit before the flat `QueueKind` and the
 table-driven config parser, and must hold unchanged across refactors.
 The digests of the `exds-lc` trace replayed through `--trace-in` were
 computed at the commit before the columnar trace reader and replay.
+The `fair_share-greedy` digests were remade when the same-instant order
+of quantum boundaries and completions was declared (`mssim.engine`).
 Remake them only for a declared output change.
 
 The configs are the desk-scale experiment workload of
@@ -46,9 +48,9 @@ CASES = {
     "fair_share-greedy": (
         {"queue_policy": {"kind": "fair_share", "quantum": 500}, "lb_policy": "greedy"},
         {
-            "report.json": "a61e4af94c7f26ea366fac0b053f19ac053345588d94ada65c115e932f36304f",
-            "requests.csv": "09a8aca8b2a401b6becb6d5e998606e82cec129ce936b2e41e0a29cab4838198",
-            "trace.csv": "a160262d2115c299b8bcde58813620d5a22d2c9e304f0303564ea489cbf1ed82",
+            "report.json": "366c95957fef917e374c76307d0e8925b2a475c4cdf98fe2707934a393e6b7de",
+            "requests.csv": "0224cc0c0806e01a6ce0368c7d5870d698249cfff268d3afd84324367592a627",
+            "trace.csv": "57bae5b42a907d7ab2181fdb8820160c70fdbcf753a151eb9d1e45749eabf92d",
         },
     ),
     "exds-lc": (

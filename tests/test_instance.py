@@ -5,7 +5,6 @@ import pytest
 from mssim.engine import Engine
 from mssim.errors import ConfigError, WrongTarget
 from mssim.instance import (
-    FairShare,
     FairShareState,
     InstanceState,
     QueueKind,
@@ -13,7 +12,7 @@ from mssim.instance import (
     assign_deadlines,
 )
 from mssim.model import ClientRequest, InstanceId, Stage, iter_nodes
-from quantum_oracle import QuantumInstance
+from quantum_oracle import QuantumEngine, QuantumInstance
 
 
 def stage(exec_time, rid=0, arrival=0, deadline=None, target=0):
@@ -114,8 +113,8 @@ def fair_share(quantum=500):
         stage, _ = state.finish_slice(eng.now)
         done.append((eng.now, stage.request_id))
 
-    run = FairShare(eng, finish)
-    return eng, FairShareState(InstanceId(0, 0), QueuePolicy(QueueKind.FAIR_SHARE, quantum), run), done
+    policy = QueuePolicy(QueueKind.FAIR_SHARE, quantum)
+    return eng, FairShareState(InstanceId(0, 0), policy, eng, finish), done
 
 
 def test_instance_state_refuses_fair_share():
@@ -187,16 +186,44 @@ def test_backlog_follows_fair_share_requeues():
     assert done == [(1700, 1), (1900, 0)]
 
 
-def turn_orders(eng, inst, arrivals, on_start=None):
+def test_a_join_at_a_boundary_comes_before_it_whatever_its_seq():
+    # B joins at 500, A's first boundary: the boundary takes effect after
+    # every event of its instant, so B runs next whether its join was
+    # scheduled before A's completion was armed or after
+    for join_first in (True, False):
+        eng, inst, done = fair_share(500)
+        a, b = stage(1200, rid=0), stage(300, rid=1)
+        if join_first:
+            eng.schedule(0, lambda _: enq(inst, a, 0))
+            eng.schedule(500, lambda _: enq(inst, b, 500))
+        else:
+            def enqueue_a(_):
+                enq(inst, a, 0)  # arms A's completion
+                eng.schedule(500, lambda _: enq(inst, b, 500))
+
+            eng.schedule(0, enqueue_a)
+        eng.drain()
+        assert done == [(800, 1), (1500, 0)], join_first
+
+
+def test_a_completion_keeps_the_seq_of_its_chain_when_a_join_moves_it():
+    eng, inst, done = fair_share(500)
+    enq(inst, stage(1000, rid=0), 0)  # armed first, to complete at 1000
+    eng.schedule(1500, lambda _: done.append("scheduled after the arm"))
+    # B joins at 100 and runs 500-1000, so A's chain ends at 1500 instead
+    eng.schedule(100, lambda _: enq(inst, stage(600, rid=1), 100))
+    eng.drain()
+    assert done == [(1500, 0), "scheduled after the arm", (1600, 1)]
+
+
+def turn_orders(eng, inst, arrivals):
     """Enqueue `arrivals` on `inst`, each event scheduling the next; after
     every enqueue, the slice start and (request_id, remaining) in turn order."""
     seen = []
 
     def arrive(i):
         t, rid, exec_time = arrivals[i]
-        end = enq(inst, stage(exec_time, rid=rid), t)
-        if end is not None:
-            on_start(end)
+        enq(inst, stage(exec_time, rid=rid), t)
         turns = [(s.request_id, s.remaining) for s in (inst.current, *inst.queue)]
         seen.append((inst.slice_start, turns))
         if i + 1 < len(arrivals):
@@ -208,9 +235,8 @@ def turn_orders(eng, inst, arrivals, on_start=None):
 
 
 def test_fair_share_turn_order_matches_the_per_quantum_instance_after_every_join():
-    # an enqueue on a boundary's instant comes before or after that boundary
-    # as the seqs fall; `remaining` is exec left at the slice start, queued
-    # stages included
+    # an enqueue on a boundary's instant comes before that boundary;
+    # `remaining` is exec left at the slice start, queued stages included
     for seed in range(300):
         rng = random.Random(seed)
         quantum = rng.choice((1, 3, 5))
@@ -222,18 +248,14 @@ def test_fair_share_turn_order_matches_the_per_quantum_instance_after_every_join
         eng, inst, done = fair_share(quantum)
         seen = turn_orders(eng, inst, arrivals)
 
-        oracle_eng, oracle = Engine(), QuantumInstance(InstanceId(0, 0), quantum)
-        oracle_done = []
+        oracle_eng, oracle_done = QuantumEngine(), []
 
-        def slice_end(_):
-            finished, nxt = oracle.finish_slice(oracle_eng.now)
-            if finished is not None:
-                oracle_done.append((oracle_eng.now, finished.request_id))
-            if nxt is not None:
-                oracle_eng.schedule(nxt, slice_end)
+        def finish(state):
+            finished, _ = state.finish_slice(oracle_eng.now)
+            oracle_done.append((oracle_eng.now, finished.request_id))
 
-        start = lambda end: oracle_eng.schedule(end, slice_end)
-        expected = turn_orders(oracle_eng, oracle, arrivals, start)
+        oracle = QuantumInstance(InstanceId(0, 0), quantum, oracle_eng, finish)
+        expected = turn_orders(oracle_eng, oracle, arrivals)
         assert seen == expected, seed
         assert done == oracle_done, seed
 

@@ -1,11 +1,12 @@
 """The event-per-completion fair share against the per-quantum engine it replaced.
 
 `quantum_oracle.QuantumSimulation` fires an event at every quantum
-boundary. Both must write the same `report.json`, `requests.csv` and
-trace, byte for byte, and read the same load at every microsecond. The
-replayed traces put every time on multiples of one unit that divides the
-quantum, so boundaries, arrivals, completions and samples often share an
-instant and the order of same-instant events decides the output.
+boundary, and orders the events of one instant by the declared rule with
+keys of its own. Both must write the same `report.json`, `requests.csv`
+and trace, byte for byte, and read the same load at every microsecond.
+The replayed traces put every time on multiples of one unit that divides
+the quantum, so boundaries, arrivals, completions and samples often share
+an instant and the order of same-instant events decides the output.
 """
 
 import io
@@ -13,9 +14,8 @@ import io
 from hypothesis import given, settings, strategies as st
 
 from mssim.config import SimConfig
-from mssim.engine import EventLog
 from mssim.gateway import LbPolicy
-from mssim.instance import FairShareState, QueueKind, QueuePolicy
+from mssim.instance import QueueKind, QueuePolicy
 from mssim.metrics import write_requests_csv
 from mssim.simulation import Simulation
 from mssim.workload import (
@@ -63,18 +63,14 @@ def artifacts(result) -> tuple[str, str, str]:
     return result.report.to_json(), requests.getvalue(), trace.getvalue()
 
 
-def simulation(sim_class, cfg, rows=None, log_limit=None):
-    """A run of `sim_class`; `log_limit` makes the event log trim that often."""
-    sim = sim_class(cfg, replay=None if rows is None else replay_trace(rows), collect_trace=True)
-    if log_limit is not None and sim.engine.log is not None:
-        sim.engine.log.limit = log_limit
-    return sim
+def simulation(sim_class, cfg, rows=None):
+    return sim_class(cfg, replay=None if rows is None else replay_trace(rows), collect_trace=True)
 
 
-def assert_same_run(cfg, rows=None, log_limit=None):
+def assert_same_run(cfg, rows=None):
     runs = []
     for sim_class in (Simulation, QuantumSimulation):
-        runs.append(artifacts(simulation(sim_class, cfg, rows, log_limit).run()))
+        runs.append(artifacts(simulation(sim_class, cfg, rows).run()))
     new, oracle = runs
     for name, a, b in zip(("report.json", "requests.csv", "trace"), new, oracle):
         assert a == b, name
@@ -102,12 +98,12 @@ def tied_traces(draw):
     return quantum, unit, microservices, rows
 
 
-@given(tied_traces(), st.sampled_from(LBS), st.integers(1, 20), st.sampled_from((None, 2)))
+@given(tied_traces(), st.sampled_from(LBS), st.integers(1, 20))
 @settings(max_examples=400, deadline=None)
-def test_replays_match_the_per_quantum_engine_at_forced_ties(trace, lb, samples, log_limit):
+def test_replays_match_the_per_quantum_engine_at_forced_ties(trace, lb, samples):
     quantum, unit, microservices, rows = trace
     end_time = unit * 13
-    assert_same_run(config(quantum, microservices, lb, end_time, unit * samples), rows, log_limit)
+    assert_same_run(config(quantum, microservices, lb, end_time, unit * samples), rows)
 
 
 def test_sampled_runs_match_the_per_quantum_engine():
@@ -126,10 +122,9 @@ def test_sampled_runs_match_the_per_quantum_engine():
 def load_trace(sim_class, cfg, rows, end):
     """(backlog, busy time, queue length) of every instance at every us up to `end`.
 
-    A probe at every microsecond is an event at every boundary's instant,
-    and the event log trims every few events.
+    A probe at every microsecond is an event at every boundary's instant.
     """
-    sim = simulation(sim_class, cfg, rows, log_limit=8)
+    sim = simulation(sim_class, cfg, rows)
     seen = []
 
     def probe(t):
@@ -148,29 +143,3 @@ def test_load_reads_as_the_per_quantum_engine_at_every_microsecond(trace):
     cfg = config(quantum, microservices, LbPolicy.GREEDY, unit * 13, unit * 5)
     end = unit * 13 + sum(row.exetime for row in rows) + 1
     assert load_trace(Simulation, cfg, rows, end) == load_trace(QuantumSimulation, cfg, rows, end)
-
-
-def test_event_log_keeps_only_what_live_chains_can_ask_about(monkeypatch):
-    cfg = config(500, (4, 2, 1, 1), LbPolicy.GREEDY, 2_000_000, 1_000_000,
-                 routing=RoutingModel(call_probabilities=(0.62, 0.18, 0.08, 0.12)),
-                 communication=CommunicationModel(comm_probabilities=(0.62, 0.18, 0.08, 0.12)))
-    sim = Simulation(cfg)
-    log = sim.engine.log
-    aligned = sim.instances[0].run.aligned
-    trims, longest = [], [0]
-    trim = EventLog.trim
-
-    def checked_trim(self):
-        longest[0] = max(longest[0], len(self))
-        trim(self)
-        live = [s.anchor_t for peers in aligned.values() for s in peers]
-        # what stays is newer than the start of the oldest chain that asks the log
-        assert not live or self[0][0] > min(live) or self[0][0] == self[-1][0]
-        trims.append(len(self))
-
-    monkeypatch.setattr(EventLog, "trim", checked_trim)
-    sim.run()
-    assert isinstance(sim.instances[0], FairShareState)
-    # 5.7k events: a trim per `limit` of them, down to a handful each time
-    assert len(trims) >= 5 and longest[0] == log.limit + 1 and max(trims) < 100
-    assert sim.engine.log is None  # dropped once the run ends

@@ -2,6 +2,7 @@ import gc
 import io
 import math
 import sys
+from collections import Counter
 from itertools import chain
 from types import FunctionType, ModuleType
 
@@ -139,6 +140,40 @@ def test_a_sampled_run_builds_only_the_requests_it_admits(monkeypatch):
     report = run_simulation(small_cfg(drain=True)).report  # every admitted request completes
     assert report.client_requests > 0
     assert len(built) == report.client_requests
+
+
+def test_a_fair_share_run_fires_one_event_per_arrival_completion_and_sample(monkeypatch):
+    # the benchmark's exp-fs-greedy model at 2 s: quantum boundaries are not events
+    shares = (0.62, 0.18, 0.08, 0.12)
+    cfg = SimConfig(
+        end_time=2_000_000,
+        seed=1,
+        sla=4_000_000,
+        arrival=ArrivalModel(mean_interarrival=1066),
+        exec_model=ExecModel(mu=4.912514296647084, sigma=2.5, unit=ExecUnit.MICROS),
+        depth=DepthModel(outcomes=((0, 0.5), (2, 0.5))),
+        routing=RoutingModel(call_probabilities=shares),
+        communication=CommunicationModel(comm_probabilities=shares),
+        microservices=(4, 2, 1, 1),
+        queue_policy=QueuePolicy(QueueKind.FAIR_SHARE, quantum=500),
+        lb_policy=LbPolicy.GREEDY,
+        utilization_interval=5_000_000,
+        imbalance_interval=1_000_000,
+        drain=True,
+    )
+    fired = Counter()
+
+    def fire(handler, payload):
+        fired[handler.__name__] += 1
+        handler(payload)
+
+    # the `fire` argument of the engine's run_until and drain
+    monkeypatch.setattr(simulation, "deliver", fire)
+    result = run_simulation(cfg)
+    stages = len(result.stage_records)
+    # one sample at 2 s for the 5 s utilisation interval, two for imbalance
+    assert fired == {"_on_arrival": len(result.client_records), "complete": stages, "_on_sample": 3}
+    assert sum(-(-r.exec // 500) for r in result.stage_records) > 2 * stages  # slices
 
 
 def test_a_run_lets_go_of_its_replay_plan():
