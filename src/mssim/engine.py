@@ -4,16 +4,21 @@ Time is integer microseconds since simulation start. Events fire in
 lexicographic (fire_at, seq) order where seq is insertion order, so
 simultaneous events are delivered first-scheduled-first.
 
-Same-instant order under fair share. A fair-share instance fires no event
-at its quantum boundaries (`instance.FairShareState`); two rules fix where
-they fall among the events of one instant:
+Instances schedule nothing: they return completion times, and the
+simulation alone puts events in the queue. Only this module knows the
+layout of a heap entry.
+
+Same-instant order. A fair-share instance fires no event at its quantum
+boundaries (`instance.FairShareState`); two rules fix where boundaries and
+completions fall among the events of one instant, under every policy:
 
 1. A quantum boundary at t takes effect after every event at t, so an
    event at t sees an instance as it was after its boundaries before t.
 2. A completion is an ordinary (fire_at, seq) entry whose seq is taken
-   when its instance starts the chain of slices that ends in it, from
-   idle or after the completion before, as for every other queue policy.
-   A stage that joins later can move its time (`Engine.replace`) but not
+   when its instance starts the chain of slices that ends in it: on an
+   idle instance at the dispatch, and after a completion once the
+   finished stage's children are dispatched and its request is recorded.
+   A stage that joins later can move its time (`Engine.move`) but not
    its seq.
 """
 
@@ -66,7 +71,7 @@ class Engine:
         return len(self._heap)
 
     def schedule(self, fire_at: SimTime, handler: Handler, payload: Any = None) -> tuple:
-        """Queue handler(payload) at `fire_at`; returns its heap entry (see `replace`)."""
+        """Queue handler(payload) at `fire_at`; returns its heap entry (see `move`)."""
         if fire_at < self.now:
             raise SchedulingInPast(f"event at t={fire_at} scheduled when now={self.now}")
         entry = (fire_at, self._seq, handler, payload)
@@ -74,11 +79,15 @@ class Engine:
         self._seq += 1
         return entry
 
-    def replace(self, old: tuple, new: tuple) -> None:
-        """Put heap entry `new` in place of `old`, an entry in the heap."""
+    def move(self, entry: tuple, fire_at: SimTime) -> tuple:
+        """Re-time heap `entry` to `fire_at`, keeping its seq, handler and payload; returns it."""
+        if fire_at < self.now:
+            raise SchedulingInPast(f"event moved to t={fire_at} when now={self.now}")
         heap = self._heap
-        heap[heap.index(old)] = new
+        moved = (fire_at, *entry[1:])
+        heap[heap.index(entry)] = moved
         heapify(heap)
+        return moved
 
     # run_until and drain fire each event as fire(handler, payload); a caller
     # that passes `deliver` explicitly lets a profiler wrap it (bench/tracer.py

@@ -4,7 +4,12 @@ An instance executes at most one stage slice at a time and is work
 conserving: it never idles while its queue is non-empty. Non-fair-share
 policies run a stage to completion in one slice; fair share runs
 min(remaining, quantum) and re-appends unfinished stages at the tail
-(`FairShareState`, which schedules only the completions).
+(`FairShareState`, whose quantum boundaries are not events).
+
+Instances are state machines: they return the time of the running
+stage's completion and schedule nothing. The simulation puts each
+completion in the event queue, and moves it when a fair-share join
+returns a new time.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Any, Callable, Optional
+from typing import Optional
 
-from .engine import Engine, SimTime, round_half_up
+from .engine import SimTime, round_half_up
 from .errors import ConfigError, WrongTarget
 from .model import ClientRequest, InstanceId, Stage
 
@@ -67,7 +72,8 @@ class _KeyedQueue(list):
         heapq.heappush(self, (*key, st))
         self.exec_sum += st.remaining
 
-    def take(self) -> Stage:
+    def popleft(self) -> Stage:
+        """The next stage in policy order, as a fair-share instance's deque gives it."""
         stage = heapq.heappop(self)[-1]
         self.exec_sum -= stage.remaining
         return stage
@@ -86,6 +92,8 @@ class InstanceState:
 
     While a slice runs, `current.remaining` is the stage's remaining
     exec at the slice start; finish_slice charges the slice to it.
+    `pending` is the event of the running stage's completion, which the
+    simulation keeps here.
     """
 
     __slots__ = (
@@ -95,6 +103,7 @@ class InstanceState:
         "slice_start",
         "slice_end",
         "busy_accum",
+        "pending",
     )
 
     def __init__(self, instance_id: InstanceId, policy: QueuePolicy):
@@ -104,6 +113,7 @@ class InstanceState:
         self.slice_start: SimTime = 0
         self.slice_end: SimTime = 0
         self.busy_accum: SimTime = 0
+        self.pending: Optional[tuple] = None
 
     # -- load accounting ---------------------------------------------------
 
@@ -129,12 +139,17 @@ class InstanceState:
     def enqueue(self, stage: Stage, now: SimTime) -> Optional[SimTime]:
         """Add a stage; if idle, execution begins immediately.
 
-        Returns the slice-end time when a slice was started, else None.
+        Returns the running stage's completion time when it is new (a
+        start, or a fair-share join that moves it), else None.
         """
         if stage.target != self.id.ms:
             raise WrongTarget(f"stage targets ms {stage.target}, instance is {self.id}")
         if self.current is None:
             return self._start(stage, now)
+        return self._wait(stage, now)
+
+    def _wait(self, stage: Stage, now: SimTime) -> Optional[SimTime]:
+        """Queue `stage` behind the running one; the completion does not move."""
         self.queue.push(stage)
         return None
 
@@ -156,97 +171,62 @@ class InstanceState:
         stage.remaining = 0
         queue = self.queue
         if queue:
-            return stage, self._start(queue.take(), now)
+            return stage, self._start(queue.popleft(), now)
         self.current = None
         return stage, None
 
 
-class _Rotation(deque):
-    """The stages waiting behind a fair-share instance's `current`, in turn order.
-
-    `push`, which `InstanceState.enqueue` calls, is the instance's `join`.
-    """
-
-    __slots__ = ("push",)
-
-    take = deque.popleft
-
-
 class FairShareState(InstanceState):
-    """A fair-share instance that puts only its completions in the event queue.
+    """A fair-share instance whose only events are its completions.
 
     Between two enqueues or completions on one instance, round robin with a
     quantum is a closed-form function of the turn order and the remaining
-    execs, so the quantum boundaries are not events. The instance schedules
+    execs, so the quantum boundaries are not events. The instance computes
     its first completion, and brings `current` and `queue` up to date,
     whole boundaries at a time, only when a stage joins or completes. Each
     stage's `remaining` is its exec left at `slice_start`. `owed`, all of
     them together, makes `backlog` linear in `now` in between, so that it
     and `busy_time_until` read as with one event per boundary.
 
-    Where a boundary and a completion fall among the other events of their
-    instant is the engine's same-instant order (`mssim.engine`): a join at
-    t sees the boundaries before t only, and the completion keeps the seq
-    of the chain it ends. A chain is the run of slices from one start of
-    the instance, onto an idle instance or after a completion, to its next
+    Like every instance, it returns completion times and schedules none:
+    `enqueue` returns the new time when a join moves the completion, and
+    the simulation moves the queued event. Where a boundary and a
+    completion fall among the other events of their instant is the
+    engine's same-instant order (`mssim.engine`): a join at t sees the
+    boundaries before t only, and the completion keeps the seq of the
+    chain it ends. A chain is the run of slices from one start of the
+    instance, onto an idle instance or after a completion, to its next
     completion.
     """
 
-    __slots__ = ("quantum", "engine", "finish", "fire", "owed", "parent", "pending")
+    __slots__ = ("quantum", "owed", "parent")
 
-    def __init__(
-        self,
-        instance_id: InstanceId,
-        policy: QueuePolicy,
-        engine: Engine,
-        finish: Callable[[Any], None],
-    ):
+    def __init__(self, instance_id: InstanceId, policy: QueuePolicy):
         self.id = instance_id
-        self.queue = _Rotation()
-        self.queue.push = self.join
-        self.current = None
+        self.queue: deque[Stage] = deque()  # the stages behind `current`, in turn order
+        self.current = self.pending = None
         self.slice_start = self.slice_end = self.busy_accum = self.owed = 0
         self.quantum = policy.quantum
-        self.engine = engine
-        # completes the running stage (`InstanceState.finish_slice` and what
-        # follows from it) when its completion event fires
-        self.finish = finish
-        self.fire = self.complete  # the handler of its completion events
-        # the heap entry of the next completion, None while idle or re-arming
-        self.pending: Optional[tuple] = None
-        # the slice of that completion starts at `parent`, a boundary or the chain's start
+        # the slice of the next completion starts at `parent`, a boundary or the chain's start
         self.parent: SimTime = 0
 
     def backlog(self, now: SimTime) -> SimTime:
         return 0 if self.current is None else self.owed - (now - self.slice_start)
 
-    load_view = backlog
-
-    def _start(self, stage: Stage, now: SimTime) -> None:
-        """Make `stage` current from `now`, the start of a chain.
-
-        A start onto an idle instance is armed at once; one after a
-        completion, of the stage at turn 0, is armed by `complete` once
-        the completed stage's children are dispatched, where another
-        policy's instance schedules its next completion.
-        """
-        idle = self.current is None
+    def _start(self, stage: Stage, now: SimTime) -> SimTime:
+        """Make `stage` current from `now`, the start of a chain; returns the chain's completion."""
+        if self.current is None:  # onto an idle instance
+            self.owed = stage.remaining
         self.current = stage
         self.slice_start = now
-        if idle:
-            self.owed = stage.remaining
-            self.arm()
+        return self._first()
 
-    def arm(self) -> None:
-        """Schedule the completion that ends the chain starting now; its seq is taken here."""
-        self._first()
-        self.pending = self.engine.schedule(self.slice_end, self.fire)
-
-    def _first(self) -> None:
+    def _first(self) -> SimTime:
         """Set `parent` and `slice_end` to the first finisher's last slice, from `slice_start` on.
 
         A stage finishes in its last slice, after `full` whole quanta; the
-        fewest wins, and the earliest in turn order among equals.
+        fewest wins, and the earliest in turn order among equals. Returns
+        `slice_end`.
         """
         q = self.quantum
         left = self.current.remaining
@@ -260,18 +240,18 @@ class FairShareState(InstanceState):
                     if not full:
                         break
         self.parent = self.slice_start + (full * (len(self.queue) + 1) + pos) * q
-        self.slice_end = self.parent + left - full * q
+        self.slice_end = end = self.parent + left - full * q
+        return end
 
-    def join(self, stage: Stage) -> None:
-        """Queue `stage` at the tail of the turn order as of now."""
+    def _wait(self, stage: Stage, now: SimTime) -> Optional[SimTime]:
+        """Queue `stage` at the tail of the turn order as of `now`.
+
+        Returns the completion time when the newcomer moves it, else None.
+        """
         queue = self.queue
         self.owed += stage.remaining
-        if self.pending is None:  # between a completion and the re-arm
-            queue.append(stage)
-            return
         q = self.quantum
         parent = self.parent
-        now = self.engine.now
         if now > self.slice_start:
             # the boundaries before now, up to the completing slice's start;
             # one at now takes effect after this event
@@ -280,20 +260,14 @@ class FairShareState(InstanceState):
         # unless the first finisher ends within this round, the newcomer
         # takes a turn before it does
         if parent - self.slice_start >= len(queue) * q:
-            self._first()
-            old = self.pending
-            self.pending = (self.slice_end, old[1], self.fire, None)
-            self.engine.replace(old, self.pending)
+            return self._first()
+        return None
 
-    def complete(self, _: None) -> None:
-        """The event of the chain's completion: finish the stage, start the next chain."""
+    def finish_slice(self, now: SimTime) -> tuple[Optional[Stage], Optional[SimTime]]:
         # bring the instance to the start of the completing slice
         self._skip((self.parent - self.slice_start) // self.quantum)
-        self.pending = None
         self.owed -= self.slice_end - self.slice_start
-        self.finish(self)
-        if self.current is not None:
-            self.arm()
+        return super().finish_slice(now)
 
     def _skip(self, boundaries: int) -> None:
         """Apply the next `boundaries` quantum boundaries: charge and rotate.

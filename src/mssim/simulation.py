@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
 from itertools import count
 from typing import Optional
 
@@ -61,15 +60,10 @@ class Simulation:
         # instances are deployed before the simulation starts; no scaling
         self.instances: list[InstanceState] = []
         policy = cfg.queue_policy
-        make = partial(InstanceState, policy=policy)
-        if policy.kind is QueueKind.FAIR_SHARE:
-            # its instances schedule their own completion events
-            make = partial(
-                FairShareState, policy=policy, engine=self.engine, finish=self._on_slice_complete
-            )
+        make = FairShareState if policy.kind is QueueKind.FAIR_SHARE else InstanceState
         for ms, n in enumerate(cfg.microservices):
             for slot in range(n):
-                state = make(InstanceId(ms, slot))
+                state = make(InstanceId(ms, slot), policy)
                 self.registry.register(state)
                 self.instances.append(state)
         self.collector = MetricsCollector([state.id for state in self.instances])
@@ -117,9 +111,14 @@ class Simulation:
             self.trace.append(
                 stage.request_id, now, stage.target, stage.exec_time, stage.depth, stage.called_by
             )
-        slice_end = state.enqueue(stage, now)
-        if slice_end is not None:
-            self.engine.schedule(slice_end, self._on_slice_complete, state)
+        end = state.enqueue(stage, now)
+        if end is not None:
+            # a new completion: a start's is queued, a fair-share join's moved
+            pending = state.pending
+            if pending is None:
+                state.pending = self.engine.schedule(end, self._on_slice_complete, state)
+            else:
+                state.pending = self.engine.move(pending, end)
 
     def _on_slice_complete(self, state: InstanceState) -> None:
         now = self.engine.now
@@ -139,8 +138,12 @@ class Simulation:
             self.collector.record_client(
                 client.request_id, client.created_at, now, client.crit_exec
             )
-        if next_end is not None:
-            self.engine.schedule(next_end, self._on_slice_complete, state)
+        # the next chain's completion takes its seq only now, after the
+        # children and the record (the same-instant order, `mssim.engine`)
+        state.pending = (
+            None if next_end is None
+            else self.engine.schedule(next_end, self._on_slice_complete, state)
+        )
 
     def _on_sample(self, sample: tuple[str, SimTime]) -> None:
         now = self.engine.now

@@ -384,8 +384,6 @@ def build_client_request(request_id: int, now: SimTime, samplers: Samplers) -> C
     """
     wl = samplers.model
     depth = samplers.depth()
-    if depth > 0 and len(wl.routing.call_probabilities) < 2:
-        raise ConfigError("sampled depth > 0 with a single configured microservice")
 
     roots = samplers.routing.distinct(wl.routing.fanout)
     exec_time_of = samplers.exec_time

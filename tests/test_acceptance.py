@@ -137,19 +137,19 @@ def engine_schedule(stages, policy):
     def on_arrival(stage):
         nxt = state.enqueue(stage, eng.now)
         if nxt is not None:
-            eng.schedule(nxt, on_slice_complete)
+            # a fair-share join can move the queued completion
+            if state.pending is None:
+                state.pending = eng.schedule(nxt, on_slice_complete)
+            else:
+                state.pending = eng.move(state.pending, nxt)
 
     def on_slice_complete(_):
         done, nxt = state.finish_slice(eng.now)
         completion[done.request_id] = eng.now
-        if nxt is not None:
-            eng.schedule(nxt, on_slice_complete)
+        state.pending = None if nxt is None else eng.schedule(nxt, on_slice_complete)
 
-    if policy.kind is QueueKind.FAIR_SHARE:
-        # it schedules its own completion events, and only those
-        state = FairShareState(InstanceId(0, 0), policy, eng, on_slice_complete)
-    else:
-        state = InstanceState(InstanceId(0, 0), policy)
+    make = FairShareState if policy.kind is QueueKind.FAIR_SHARE else InstanceState
+    state = make(InstanceId(0, 0), policy)
 
     for s in sorted(stages, key=lambda s: (s.arrival, s.request_id)):
         stage = Stage(

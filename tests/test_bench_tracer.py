@@ -31,8 +31,9 @@ print(json.dumps({"rc": rc, "counts": spans.by_name()[1], "counters": spans.coun
 # run id -> (queue policy, load balancer, spans the run must record)
 RUNS = {
     "fs-greedy": ({"kind": "fair_share", "quantum": 500}, "greedy",
-                  ("engine.loop", "simulation.event", "instance.finish_slice",
-                   "gateway.select", "workload.build", "workload.interarrival")),
+                  ("engine.loop", "simulation.event", "engine.schedule", "instance.enqueue",
+                   "instance.finish_slice", "gateway.select", "workload.build",
+                   "workload.interarrival")),
     "exds-lc": ("exds", "least_connection", ("instance.deadline", "metrics.record")),
 }
 

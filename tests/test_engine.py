@@ -92,6 +92,36 @@ def test_fire_hook_sees_every_event_in_order():
     assert fired == seen == [1, 2, 3]
 
 
+def test_a_moved_event_keeps_its_seq():
+    # moved to the instant of an event scheduled after it, it still fires first
+    eng = Engine()
+    seen = []
+    entry = eng.schedule(3, seen.append, "moved")
+    eng.schedule(7, seen.append, "later")
+    assert eng.move(entry, 7) == (7, entry[1], seen.append, "moved")
+    eng.drain()
+    assert seen == ["moved", "later"]
+
+
+def test_an_event_moved_earlier_fires_there():
+    eng = Engine()
+    times = []
+    entry = eng.schedule(9, lambda payload: times.append((eng.now, payload)), "moved")
+    eng.schedule(5, lambda payload: times.append((eng.now, payload)), "fixed")
+    eng.move(entry, 2)
+    eng.drain()
+    assert times == [(2, "moved"), (5, "fixed")]
+
+
+def test_an_event_moved_into_the_past_is_refused():
+    eng = Engine()
+    entry = eng.schedule(9, lambda payload: None)
+    eng.run_until(4)
+    with pytest.raises(SchedulingInPast):
+        eng.move(entry, 3)
+    assert eng.pending() == 1
+
+
 def test_same_seed_same_stream_identical_sequence():
     a = RngStream(123, "arrival")
     b = RngStream(123, "arrival")

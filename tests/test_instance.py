@@ -104,17 +104,35 @@ def test_run_to_completion_single_slice():
     assert inst.busy_accum == 1000
 
 
+class DrivenFairShare(FairShareState):
+    """A fair-share instance whose completions are queued, moved and fired on
+    `engine` as `Simulation` does it; `done` holds (time, request_id) of each."""
+
+    def __init__(self, quantum):
+        super().__init__(InstanceId(0, 0), QueuePolicy(QueueKind.FAIR_SHARE, quantum))
+        self.engine = Engine()
+        self.done = []
+
+    def enqueue(self, stage, now):
+        end = super().enqueue(stage, now)
+        if end is not None:
+            if self.pending is None:
+                self.pending = self.engine.schedule(end, self.complete)
+            else:
+                self.pending = self.engine.move(self.pending, end)
+        return end
+
+    def complete(self, _):
+        now = self.engine.now
+        stage, end = self.finish_slice(now)
+        self.done.append((now, stage.request_id))
+        self.pending = None if end is None else self.engine.schedule(end, self.complete)
+
+
 def fair_share(quantum=500):
     """An engine, a fair-share instance on it, and the (time, request_id) of each completion."""
-    eng = Engine()
-    done = []
-
-    def finish(state):
-        stage, _ = state.finish_slice(eng.now)
-        done.append((eng.now, stage.request_id))
-
-    policy = QueuePolicy(QueueKind.FAIR_SHARE, quantum)
-    return eng, FairShareState(InstanceId(0, 0), policy, eng, finish), done
+    inst = DrivenFairShare(quantum)
+    return inst.engine, inst, inst.done
 
 
 def test_instance_state_refuses_fair_share():
@@ -124,7 +142,7 @@ def test_instance_state_refuses_fair_share():
 
 def test_fair_share_slices_and_requeues():
     eng, inst, done = fair_share(500)
-    assert enq(inst, stage(1200), 0) is None  # the instance schedules its own completion
+    assert enq(inst, stage(1200), 0) == 1200  # the completion, returned like any policy's
     # one event, at the completion: the boundaries at 500 and 1000 are not events
     assert eng.pending() == 1
     assert [inst.backlog(t) for t in (500, 1000)] == [700, 200]

@@ -22,6 +22,7 @@ from mssim.workload import (
     ExecModel,
     ExecUnit,
     RoutingModel,
+    TraceRow,
     replay_trace,
 )
 
@@ -142,6 +143,23 @@ def test_a_sampled_run_builds_only_the_requests_it_admits(monkeypatch):
     assert len(built) == report.client_requests
 
 
+@pytest.mark.parametrize("kind", list(QueueKind), ids=lambda kind: kind.value)
+def test_a_completion_after_a_completion_takes_its_seq_after_the_children(kind):
+    # request 0's root ends at 10 on ms 0; its child starts on ms 1 and
+    # request 1's root on ms 0, both to end at 15. Request 1's completion
+    # takes its seq after the child is dispatched, so it fires second
+    rows = [
+        TraceRow(0, 0, 0, 10, 0),
+        TraceRow(0, 0, 1, 5, 1, called_by=0),
+        TraceRow(1, 0, 0, 5, 0),
+    ]
+    cfg = small_cfg(microservices=(1, 1), queue_policy=QueuePolicy(kind, quantum=500))
+    result = run_simulation(cfg, replay=replay_trace(rows))
+    stages = [(r.request_id, r.completed_at) for r in result.stage_records]
+    assert stages == [(0, 10), (0, 15), (1, 15)]
+    assert [r.request_id for r in result.client_records] == [0, 1]
+
+
 def test_a_fair_share_run_fires_one_event_per_arrival_completion_and_sample(monkeypatch):
     # the benchmark's exp-fs-greedy model at 2 s: quantum boundaries are not events
     shares = (0.62, 0.18, 0.08, 0.12)
@@ -172,7 +190,9 @@ def test_a_fair_share_run_fires_one_event_per_arrival_completion_and_sample(monk
     result = run_simulation(cfg)
     stages = len(result.stage_records)
     # one sample at 2 s for the 5 s utilisation interval, two for imbalance
-    assert fired == {"_on_arrival": len(result.client_records), "complete": stages, "_on_sample": 3}
+    assert fired == {
+        "_on_arrival": len(result.client_records), "_on_slice_complete": stages, "_on_sample": 3
+    }
     assert sum(-(-r.exec // 500) for r in result.stage_records) > 2 * stages  # slices
 
 
