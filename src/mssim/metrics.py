@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import operator
@@ -115,13 +114,17 @@ class ColumnView(Sequence):
         return f"<{type(self).__name__}: {len(self)} rows>"
 
 
+def _exact(created: np.ndarray, completed: np.ndarray) -> bool:
+    """Whether every total and exec is an exact double (exec <= total, checked when recorded)."""
+    return not len(created) or (created.min() >= 0 and completed.max() < _EXACT)
+
+
 def _derived(
     created: np.ndarray, completed: np.ndarray, exec_time: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """total and total / exec per record, equal to Python's int arithmetic on them."""
-    if not len(created) or (created.min() >= 0 and completed.max() < _EXACT):
-        # every total and exec is an exact double, so numpy's division rounds
-        # the exact quotient once, as int / int does
+    if _exact(created, completed):
+        # numpy's division rounds the exact quotient once, as int / int does
         total = completed - created
         return total, total / exec_time
     total = np.array([c - a for a, c in zip(created.tolist(), completed.tolist())], dtype=object)
@@ -161,9 +164,15 @@ class RecordColumns(ColumnView):
         return RequestRecord(request_id, self.scope, created_at, completed_at, exec_time)
 
     def slowdowns(self) -> np.ndarray:
-        """total / exec per record, as float64."""
+        """total / exec per record, as one new float64 column."""
         _, created, completed, exec_time = self.arrays()
-        return _derived(created, completed, exec_time)[1]
+        if not _exact(created, completed):
+            return _derived(created, completed, exec_time)[1]
+        # the operands are exact doubles, so the difference is the exact
+        # total and the division rounds the exact quotient once
+        vals = np.subtract(completed, created, dtype=np.float64)
+        vals /= exec_time
+        return vals
 
 
 def imbalance(per_interval_utils: np.ndarray) -> float:
@@ -179,14 +188,18 @@ def imbalance(per_interval_utils: np.ndarray) -> float:
     return float(arr.std(axis=0, ddof=0).mean())
 
 
-def ecdf(values: Sequence[float]) -> list[tuple[float, float]]:
-    """Sorted unique x with F(x) = fraction of values <= x; F(max) == 1."""
+def _ecdf_columns(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique x and F(x) = fraction of values <= x, as two float64 arrays."""
     if len(values) == 0:
         raise EmptyInput("ecdf of empty input")
-    arr = np.sort(np.asarray(values, dtype=float))
-    xs, counts = np.unique(arr, return_counts=True)
-    fs = np.cumsum(counts) / arr.size
-    return list(zip(xs.tolist(), fs.tolist()))
+    arr = np.asarray(values, dtype=float)
+    xs, counts = np.unique(arr, return_counts=True)  # sorts a copy of arr
+    return xs, np.cumsum(counts) / arr.size
+
+
+def ecdf(values: Sequence[float]) -> list[tuple[float, float]]:
+    """Sorted unique x with F(x) = fraction of values <= x; F(max) == 1."""
+    return list(zip(*(col.tolist() for col in _ecdf_columns(values))))
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -318,11 +331,13 @@ class MetricsCollector:
                 return None
             # checked when recorded; the same doubles slowdown() gives
             vals = records.slowdowns()
-            return {
-                "mean": float(np.mean(vals)),
-                "p50": percentile(vals, 0.50),
-                "p99": percentile(vals, 0.99),
-            }
+            # the mean first: np.mean's pairwise sum depends on element order,
+            # and the quantiles then partition this fresh column in place
+            mean = float(np.mean(vals))
+            p50, p99 = np.quantile(
+                vals, (0.50, 0.99), method="inverted_cdf", overwrite_input=True
+            ).tolist()
+            return {"mean": mean, "p50": p50, "p99": p99}
 
         return SimReport(
             client_requests=len(self.client_records),
@@ -370,7 +385,12 @@ def write_requests_csv(sections: Iterable[RecordColumns], fp: io.TextIOBase) -> 
 
 
 def write_ecdf_csv(values: Sequence[float], fp: io.TextIOBase) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["x", "f"])
-    for x, f in ecdf(values):
-        writer.writerow([repr(x), repr(f)])
+    """The ECDF of `values`, one `x,f` row per point with the repr of each double.
+
+    Rows are formatted directly, WRITE_ROWS at a time; no repr needs CSV quoting.
+    """
+    xs, fs = _ecdf_columns(values)
+    fp.write("x,f\n")
+    for start in range(0, len(xs), WRITE_ROWS):
+        block = (col[start:start + WRITE_ROWS].tolist() for col in (xs, fs))
+        fp.write("".join(map("{!r},{!r}\n".format, *block)))

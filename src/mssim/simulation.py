@@ -43,7 +43,7 @@ class SimResult:
     report: SimReport
     client_records: RecordColumns
     stage_records: RecordColumns
-    trace_rows: TraceColumns  # ordered by (timestamp, request_id, hops_done)
+    trace_rows: TraceColumns  # the run's own columns, sorted by (timestamp, request_id, hops_done)
 
 
 class Simulation:
@@ -173,6 +173,7 @@ class Simulation:
         drain_until = cfg.end_time
         if cfg.drain:
             drain_until = max(cfg.end_time, self.engine.drain(deliver))
+        self.trace.sort()
         report = self.collector.finalize_report(
             end_time=cfg.end_time,
             drain_until=drain_until,
@@ -184,7 +185,7 @@ class Simulation:
             report=report,
             client_records=self.collector.client_records,
             stage_records=self.collector.stage_records,
-            trace_rows=self.trace.ordered(),
+            trace_rows=self.trace,
         )
 
 

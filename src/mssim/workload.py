@@ -586,7 +586,7 @@ class ReplayPlan:
         `assign_deadlines(request, kind, sla)` would give it; `sla` is > 0.
         With `kind` None, stages get no deadline.
         """
-        order = np.argsort(self.created_at, kind="stable")  # ties in request_id order
+        order = _narrow(np.argsort(self.created_at, kind="stable"))  # ties in request_id order
         order = order[: np.searchsorted(self.created_at[order], end_time, side="right")]
         for start in range(0, len(order), PLAN_BATCH):
             yield from self._build(order[start : start + PLAN_BATCH], kind, sla)
@@ -596,7 +596,8 @@ class ReplayPlan:
     ) -> list[ClientRequest]:
         """The requests at positions `pos`, with one tolist() per column for all of them."""
         starts = self.starts[pos]
-        sizes = self.starts[pos + 1] - starts
+        # pos may be as narrow as the request count allows, so pos + 1 could wrap
+        sizes = self.starts[1:][pos] - starts
         # the rows of the requests, one request after another
         rows = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
         heads = zip(self.request_id[pos].tolist(), self.created_at[pos].tolist(), sizes.tolist())
@@ -683,12 +684,17 @@ class TraceColumns(ColumnView):
         *head, called_by = values
         return TraceRow(*head, None if called_by < 0 else called_by)
 
-    def ordered(self) -> TraceColumns:
-        """Rows by (timestamp, request_id, hops_done), ties kept in insertion order."""
+    def sort(self) -> None:
+        """Sort the rows in place by (timestamp, request_id, hops_done), ties in insertion order.
+
+        Each column is permuted through its int64 view in turn, so beside
+        the rows the sort holds the order and one permuted column.
+        """
         cols = self.arrays()
         request_id, timestamp, _, _, hops_done, _ = cols
         order = np.lexsort((hops_done, request_id, timestamp))  # last key first; stable
-        return TraceColumns(*(col[order] for col in cols))
+        for col in cols:
+            col[:] = col[order]
 
 
 def write_trace_csv(rows: Sequence[TraceRow], fp: io.TextIOBase) -> None:

@@ -1,6 +1,8 @@
+import csv
 import io
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mssim.metrics import (
     imbalance,
     percentile,
     slowdown,
+    write_ecdf_csv,
     write_requests_csv,
 )
 from mssim.model import InstanceId
@@ -91,6 +94,23 @@ def test_ecdf_non_decreasing_ends_at_one():
 def test_ecdf_empty_rejected():
     with pytest.raises(EmptyInput):
         ecdf([])
+
+
+def test_ecdf_csv_bytes_are_those_of_a_csv_writer_over_ecdf_points():
+    # more points than one formatted block, ties, and reprs with exponents
+    rng = np.random.default_rng(4)
+    values = np.concatenate([
+        rng.lognormal(1.0, 3.0, size=1500), np.repeat([1.0, 2.5], 40), [1e-300, 1e300, 2**53 + 0.0],
+    ])
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["x", "f"])
+    for x, f in ecdf(values):
+        writer.writerow([repr(x), repr(f)])
+    got = io.StringIO()
+    write_ecdf_csv(values, got)
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().count("\n") == len(np.unique(values)) + 1
 
 
 def test_percentile_matches_analytic_lognormal_quantile():
@@ -173,6 +193,50 @@ def test_columns_divide_as_python_past_2_53():
     assert buf.getvalue().splitlines()[1:] == [
         f"0,{scope},0,{total},{total},3,{total - 3},{want!r}" for scope in ("client", "stage")
     ]
+
+
+def random_records(col, rng, n, scope="stage"):
+    """n records of random times; a total of 1 to 10**7 us over an exec it holds."""
+    record = col.record_stage if scope == "stage" else col.record_client
+    created = rng.integers(0, 10**9, size=n).tolist()
+    total = rng.integers(1, 10**7, size=n).tolist()
+    exec_time = [int(e) for e in rng.integers(1, 10**7, size=n) % total + 1]
+    for i, (a, t, e) in enumerate(zip(created, total, exec_time)):
+        record(i, a, a + t, e)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_report_slowdowns_are_those_of_python_int_division(seed):
+    rng = np.random.default_rng(seed)
+    col = MetricsCollector([InstanceId(0, 0)])
+    random_records(col, rng, 3001, "client")
+    random_records(col, rng, 2000, "stage")
+    # past 2**53 the client scope takes the exact slow path
+    col.record_client(7, 2**60, 2**60 + 2**53 + 1, 3)
+    scopes = (col.client_records, col.stage_records)
+    before = [list(map(list, records.columns())) for records in scopes]
+    report = col.finalize_report(2**62, 2**62, 1, "round_robin", "fcfs")
+    for records, got in zip(scopes, (report.client_slowdown, report.stage_slowdown)):
+        vals = [(c - a) / e for _, a, c, e in zip(*records.columns())]
+        assert got == {
+            "mean": float(np.mean(np.array(vals))),  # before any partition
+            "p50": percentile(vals, 0.50),
+            "p99": percentile(vals, 0.99),
+        }
+    assert [list(map(list, records.columns())) for records in scopes] == before
+
+
+def test_finalize_holds_one_slowdown_column():
+    n = 100_000
+    col = MetricsCollector([InstanceId(0, 0)])
+    random_records(col, np.random.default_rng(5), n)
+    tracemalloc.start()
+    try:
+        col.finalize_report(10**10, 10**10, 1, "round_robin", "fcfs")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 512 * 1024
 
 
 def test_record_past_int64_is_refused_and_leaves_columns_aligned():

@@ -1,8 +1,10 @@
 import io
 import math
+import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from mssim.workload import (
     ExecUnit,
     RoutingModel,
     Samplers,
+    TraceColumns,
     TraceRow,
     WorkloadModel,
     build_client_request,
@@ -493,6 +496,16 @@ def test_replay_matches_the_row_oracle_on_a_recorded_trace():
     assert len(assert_replays_like_the_row_oracle(list(rows))) > 20
 
 
+@pytest.mark.parametrize("n", [128, 32_768])
+def test_replay_admits_requests_past_the_narrowest_order_type(n):
+    # the admission order is narrowed to int8 or int16, whose largest
+    # position is then n - 1; the last request has a child row
+    rows = [TraceRow(rid, rid, 0, rid + 1, 0, None) for rid in range(n)]
+    rows.append(TraceRow(n - 1, n - 1, 1, 5, 1, 0))
+    got = assert_replays_like_the_row_oracle(rows)
+    assert len(got) == n and got[-1].stages == 2
+
+
 def test_replay_orphan_edge_rejected():
     rows = [TraceRow(0, 0, called_ms=1, exetime=10, hops_done=1, called_by=None)]
     assert_replays_like_the_row_oracle(rows)
@@ -542,6 +555,33 @@ def test_replay_ambiguous_parent_rejected():
     assert_replays_like_the_row_oracle(rows)
     with pytest.raises(MalformedTrace, match="ambiguous parent for hops 1 called_by 1"):
         replay_trace(rows)
+
+
+def test_trace_sorts_in_place_stably_with_little_memory():
+    # 40k shuffled rows over few (timestamp, request_id, hops_done) keys, so
+    # most rows tie; exetime numbers the rows in insertion order
+    rng = np.random.default_rng(3)
+    n = 40_000
+    keys = rng.integers(0, 20, size=(n, 3)).tolist()
+    rows = [
+        (rid, ts, i % 7, i + 1, hops, None if hops == 0 else i % 5)
+        for i, (ts, rid, hops) in enumerate(keys)
+    ]
+    cols = TraceColumns()
+    for row in rows:
+        cols.append(*row)
+    before = cols.columns()
+    tracemalloc.start()
+    try:
+        assert cols.sort() is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = sorted(rows, key=lambda r: (r[1], r[0], r[4]))  # stable: ties in insertion order
+    assert cols == [TraceRow(*row) for row in want]
+    assert all(map(operator.is_, cols.columns(), before))
+    # the order and one permuted column; a sorted copy of all six is 56
+    assert peak / n <= 24
 
 
 def test_trace_csv_round_trip_bit_exact():
