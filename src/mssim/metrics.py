@@ -63,8 +63,16 @@ WRITE_ROWS = 256
 _EXACT = 2**53  # integers below this are exact as float64
 
 
+def int_column(fields: Sequence) -> array:
+    """`int` of each field as an int32 column, else int64; OverflowError past int64."""
+    try:
+        return array("i", map(int, fields))
+    except OverflowError:
+        return array("q", map(int, fields))
+
+
 class ColumnView(Sequence):
-    """Read-only rows kept as equal-length int64 columns.
+    """Read-only rows kept as equal-length int32 columns, each int64 once a value needs it.
 
     A row object is built only when it is read. Subclasses name their
     columns in `_fields` and build one row from one Python int per column
@@ -74,12 +82,33 @@ class ColumnView(Sequence):
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def columns(self) -> list[Any]:
+    def columns(self) -> list[array]:
         return [getattr(self, name) for name in self._fields]
 
     def arrays(self) -> list[np.ndarray]:
-        """The columns as int64 numpy arrays, without a copy."""
-        return [np.frombuffer(col, dtype=np.int64) for col in self.columns()]
+        """The columns as int32 or int64 numpy arrays, each at its own width, without a copy."""
+        return [np.frombuffer(col, col.typecode) for col in self.columns()]
+
+    def extend(self, columns: Sequence[array]) -> None:
+        """Append the rows of equal-length columns, widening a column where its new one is wider."""
+        for name, new in zip(self._fields, columns):
+            col = getattr(self, name)
+            if new.itemsize > col.itemsize:
+                col = array(new.typecode, col)
+                setattr(self, name, col)
+            col.extend(new if new.typecode == col.typecode else array(col.typecode, new))
+
+    def _append_wide(self, values: Sequence[int]) -> None:
+        """Append a row after an append overflowed partway, widening the columns it needs.
+
+        The columns are first cut back to their old length, and stay so if a
+        value is past int64, which raises OverflowError.
+        """
+        cols = self.columns()
+        n = min(map(len, cols))
+        for col in cols:
+            del col[n:]
+        self.extend([int_column((v,)) for v in values])
 
     def _row(self, *values: int) -> Any:
         raise NotImplementedError
@@ -94,7 +123,7 @@ class ColumnView(Sequence):
         return self._row(*(int(col[i]) for col in self.columns()))
 
     def blocks(self, rows: int = BLOCK) -> Iterator[list[np.ndarray]]:
-        """The columns as int64 arrays, `rows` rows at a time."""
+        """The columns as numpy arrays, `rows` rows at a time."""
         cols = self.arrays()
         for start in range(0, len(self), rows):
             yield [col[start:start + rows] for col in cols]
@@ -124,7 +153,8 @@ def _derived(
 ) -> tuple[np.ndarray, np.ndarray]:
     """total and total / exec per record, equal to Python's int arithmetic on them."""
     if _exact(created, completed):
-        # numpy's division rounds the exact quotient once, as int / int does
+        # numpy's division rounds the exact quotient once, as int / int does;
+        # 0 <= total <= completed, so an int32 difference cannot wrap
         total = completed - created
         return total, total / exec_time
     total = np.array([c - a for a, c in zip(created.tolist(), completed.tolist())], dtype=object)
@@ -132,7 +162,7 @@ def _derived(
 
 
 class RecordColumns(ColumnView):
-    """The completed client requests or stages of a run, one int64 column per field."""
+    """The completed client requests or stages of a run, one column per field."""
 
     __slots__ = ("scope", "request_id", "created_at", "completed_at", "exec")
     _fields = ("request_id", "created_at", "completed_at", "exec")
@@ -140,7 +170,7 @@ class RecordColumns(ColumnView):
     def __init__(self, scope: str):
         self.scope = scope  # "client" or "stage"
         self.request_id, self.created_at, self.completed_at, self.exec = (
-            array("q") for _ in self._fields
+            array("i") for _ in self._fields
         )
 
     def append(
@@ -152,13 +182,13 @@ class RecordColumns(ColumnView):
             self.completed_at.append(completed_at)
             self.exec.append(exec_time)
         except OverflowError:
-            n = len(self.exec)  # appended last, so still the old length
-            for col in self.columns():
-                del col[n:]
-            raise InvalidMetric(
-                f"request {request_id}: a time in ({created_at}, {completed_at}, "
-                f"{exec_time}) us does not fit int64"
-            ) from None
+            try:
+                self._append_wide((request_id, created_at, completed_at, exec_time))
+            except OverflowError:
+                raise InvalidMetric(
+                    f"request {request_id}: a time in ({created_at}, {completed_at}, "
+                    f"{exec_time}) us does not fit int64"
+                ) from None
 
     def _row(self, request_id: int, created_at: int, completed_at: int, exec_time: int) -> RequestRecord:
         return RequestRecord(request_id, self.scope, created_at, completed_at, exec_time)
@@ -378,6 +408,7 @@ def write_requests_csv(sections: Iterable[RecordColumns], fp: io.TextIOBase) -> 
         row = f"{{}},{records.scope},{{}},{{}},{{}},{{}},{{}},{{!r}}\n".format
         for request_id, created, completed, exec_time in records.blocks(WRITE_ROWS):
             total, slow = _derived(created, completed, exec_time)
+            # 0 <= total - exec <= total, so an int32 block holds it too
             fp.write("".join(map(
                 row, request_id.tolist(), created.tolist(), completed.tolist(),
                 total.tolist(), exec_time.tolist(), (total - exec_time).tolist(), slow.tolist(),

@@ -36,8 +36,8 @@ from .workload import ReplayPlan, Samplers, TraceColumns, build_client_request
 class SimResult:
     """The report plus read-only sequence views of the recorded rows.
 
-    The views hold int64 columns and build a `RequestRecord` or `TraceRow`
-    only when a row is read.
+    The views hold int32 columns, each widened to int64 once a value needs
+    it, and build a `RequestRecord` or `TraceRow` only when a row is read.
     """
 
     report: SimReport

@@ -23,7 +23,7 @@ import numpy as np
 from .engine import RngStream, SimTime
 from .errors import ConfigError, MalformedTrace, ValidationError
 from .instance import QueueKind, level_deadlines
-from .metrics import BLOCK, WRITE_ROWS, ColumnView
+from .metrics import BLOCK, WRITE_ROWS, ColumnView, int_column
 from .model import ClientRequest, Stage
 
 _PROB_TOL = 1e-9
@@ -434,7 +434,7 @@ class TraceRow:
 
 
 # The rules a trace row must pass, as (reason, test that is true where a row
-# breaks the rule). Tests run on int64 columns or on one row's Python ints, with
+# breaks the rule). Tests run on columns or on one row's Python ints, with
 # called_by -1 where `given` is false; the time bounds are those of a config.
 _ROW_RULES = (
     ("hops_done {hops_done} with called_by {called_by!r}",
@@ -648,13 +648,13 @@ class ReplayPlan:
 
 
 class TraceColumns(ColumnView):
-    """Trace rows as six int64 columns; `called_by` is -1 where it is None."""
+    """Trace rows as six columns, as wide as their values; `called_by` is -1 where it is None."""
 
     __slots__ = _fields = tuple(TRACE_HEADER)
 
-    def __init__(self, *columns: Sequence[int]):
-        for name, col in zip(self._fields, columns or [array("q") for _ in TRACE_HEADER]):
-            setattr(self, name, col)
+    def __init__(self):
+        for name in self._fields:
+            setattr(self, name, array("i"))
 
     @classmethod
     def from_rows(cls, rows: Sequence[TraceRow]) -> TraceColumns:
@@ -673,12 +673,16 @@ class TraceColumns(ColumnView):
         hops_done: int,
         called_by: Optional[int],
     ) -> None:
-        self.request_id.append(request_id)
-        self.timestamp.append(timestamp)
-        self.called_ms.append(called_ms)
-        self.exetime.append(exetime)
-        self.hops_done.append(hops_done)
-        self.called_by.append(-1 if called_by is None else called_by)
+        called_by = -1 if called_by is None else called_by
+        try:
+            self.request_id.append(request_id)
+            self.timestamp.append(timestamp)
+            self.called_ms.append(called_ms)
+            self.exetime.append(exetime)
+            self.hops_done.append(hops_done)
+            self.called_by.append(called_by)
+        except OverflowError:
+            self._append_wide((request_id, timestamp, called_ms, exetime, hops_done, called_by))
 
     def _row(self, *values: int) -> TraceRow:
         *head, called_by = values
@@ -687,7 +691,7 @@ class TraceColumns(ColumnView):
     def sort(self) -> None:
         """Sort the rows in place by (timestamp, request_id, hops_done), ties in insertion order.
 
-        Each column is permuted through its int64 view in turn, so beside
+        Each column is permuted through its numpy view in turn, so beside
         the rows the sort holds the order and one permuted column.
         """
         cols = self.arrays()
@@ -714,21 +718,21 @@ def write_trace_csv(rows: Sequence[TraceRow], fp: io.TextIOBase) -> None:
 
 
 def _checked_block(block: list[list[str]]) -> Optional[list[array]]:
-    """The block's rows as six int64 columns, or None if one fails a row check.
+    """The block's rows as six columns, or None if one fails a row check.
 
     Fields are parsed with `int`, as `_append_records` does, and the row
-    rules are applied to the whole block at once.
+    rules are applied to the whole block at once, each column at its width.
     """
     records = list(filter(None, block))  # blank records hold no row
     if set(map(len, records)) != {len(TRACE_HEADER)}:
         return None
     *head, called_by = zip(*records)
     try:
-        cols = [array("q", map(int, fields)) for fields in head]
-        cols.append(array("q", [int(c) if c else -1 for c in called_by]))
+        cols = [int_column(fields) for fields in head]
+        cols.append(int_column([c or -1 for c in called_by]))
     except (ValueError, OverflowError):  # not an integer, or past int64
         return None
-    arrays = dict(zip(TRACE_HEADER, (np.frombuffer(c, np.int64) for c in cols)))
+    arrays = dict(zip(TRACE_HEADER, (np.frombuffer(c, c.typecode) for c in cols)))
     given = arrays["called_by"] != -1  # unless a -1 was given, which reads as none
     minus_one_given = called_by.count("") != len(given) - np.count_nonzero(given)
     broken = minus_one_given or any(rule(**arrays, given=given).any() for _, rule in _ROW_RULES)
@@ -770,8 +774,7 @@ def read_trace_csv(fp: io.TextIOBase) -> TraceColumns:
             if checked is None:
                 _append_records(cols, block, lineno)
             else:
-                for col, new in zip(cols.columns(), checked):
-                    col.extend(new)
+                cols.extend(checked)
             lineno += len(block)
     except csv.Error as e:  # such as a field past csv.field_size_limit()
         raise csv.Error(f"line {reader.line_num}: {e}") from None

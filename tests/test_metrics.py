@@ -10,6 +10,7 @@ import pytest
 from mssim.errors import EmptyInput, InvalidMetric
 from mssim.metrics import (
     MetricsCollector,
+    RecordColumns,
     RequestRecord,
     ecdf,
     imbalance,
@@ -249,6 +250,54 @@ def test_record_past_int64_is_refused_and_leaves_columns_aligned():
     assert [len(c) for c in col.stage_records.columns()] == [1, 1, 1, 1]
     assert [len(c) for c in col.client_records.columns()] == [0, 0, 0, 0]
     assert list(col.stage_records) == [RequestRecord(1, "stage", 0, 10, 5)]
+
+
+def test_record_columns_widen_only_the_columns_that_overflow():
+    records = RecordColumns("stage")
+    rows = [
+        (1, 0, 10, 5),
+        (2, 2**31 - 11, 2**31 - 1, 10),  # the largest int32 values
+        (3, 2**31 - 5, 2**31, 5),  # completed_at needs int64
+        (4, -2**31 - 1, 0, 7),  # and created_at, below int32
+        (5, 2**40, 2**40 + 2**53 + 1, 3),  # past 2**53: the exact slow path
+    ]
+    typecodes = ["iiii", "iiii", "iiqi", "iqqi", "iqqi"]
+    for row, want in zip(rows, typecodes):
+        records.append(*row)
+        assert "".join(col.typecode for col in records.columns()) == want
+        assert len(set(map(len, records.columns()))) == 1
+    want = [RequestRecord(i, "stage", a, c, e) for i, a, c, e in rows]
+    assert records == want and records[2] == want[2] and records[1:4] == want[1:4]
+    assert [list(col) for col in records.columns()] == [list(col) for col in zip(*rows)]
+    assert records.slowdowns().tolist() == [(c - a) / e for _, a, c, e in rows]
+    with pytest.raises(InvalidMetric, match="does not fit int64"):
+        records.append(6, 0, 2**63, 2**31)  # refused whole: exec does not widen
+    assert "".join(col.typecode for col in records.columns()) == "iqqi"
+    assert records == want
+    buf = io.StringIO()
+    write_requests_csv([records], buf)
+    assert buf.getvalue().splitlines()[1:] == [
+        f"{r.request_id},stage,{r.created_at},{r.completed_at},{r.total},{r.exec},{r.wait},{r.slowdown!r}"
+        for r in want
+    ]
+
+
+def test_record_columns_hold_about_16_bytes_per_record():
+    n = 100_000
+    rng = np.random.default_rng(5)
+    created = rng.integers(0, 10**9, size=n).tolist()
+    total = rng.integers(1, 10**7, size=n).tolist()
+    rows = [(i, a, a + t, 1 + t // 2) for i, (a, t) in enumerate(zip(created, total))]
+    records = RecordColumns("stage")
+    tracemalloc.start()
+    try:
+        for row in rows:
+            records.append(*row)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # four int32 columns and their spare room; int64 columns read 32.7
+    assert held / n <= 17
 
 
 def test_record_columns_read_as_a_sequence_of_records():

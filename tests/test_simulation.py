@@ -1,4 +1,6 @@
+import csv
 import gc
+import hashlib
 import io
 import math
 import sys
@@ -13,7 +15,7 @@ from mssim.config import SimConfig
 from mssim.errors import MalformedTrace
 from mssim.gateway import LbPolicy
 from mssim.instance import QueueKind, QueuePolicy
-from mssim.metrics import write_requests_csv
+from mssim.metrics import REQUESTS_CSV_HEADER, write_requests_csv
 from mssim.simulation import Simulation, run_simulation
 from mssim.workload import (
     ArrivalModel,
@@ -23,7 +25,9 @@ from mssim.workload import (
     ExecUnit,
     RoutingModel,
     TraceRow,
+    read_trace_csv,
     replay_trace,
+    write_trace_csv,
 )
 
 
@@ -298,3 +302,44 @@ def test_record_columns_hold_at_most_40_bytes_per_record():
     assert records > 3000
     held = sum(sys.getsizeof(col) for view in views for col in view.columns())
     assert held / records <= 40
+
+
+def artifacts(result) -> dict[str, str]:
+    trace = io.StringIO()
+    write_trace_csv(result.trace_rows, trace)
+    return {"report.json": result.report.to_json(), "requests.csv": requests_csv(result),
+            "trace.csv": trace.getvalue()}
+
+
+def test_a_run_past_2_31_us_widens_only_its_time_columns():
+    # 2,200 s is past 2**31 us (about 35.8 min); the digests were taken
+    # when every column was int64
+    cfg = small_cfg(
+        end_time=2_200_000_000, arrival=ArrivalModel(mean_interarrival=2_000_000),
+        utilization_interval=100_000_000, imbalance_interval=50_000_000,
+    )
+    result = run_simulation(cfg, collect_trace=True)
+    for records in (result.client_records, result.stage_records):
+        assert [col.typecode for col in records.columns()] == ["i", "q", "q", "i"]
+        assert records.completed_at[-1] >= 2**31
+    assert [col.typecode for col in result.trace_rows.columns()] == ["i", "q", "i", "i", "i", "i"]
+    got = artifacts(result)
+    assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in got.items()} == {
+        "report.json": "b8ed96fc697171c4a326d08e411b8c3d2e13aeccf4ecb2fbcad1ec25e321efe5",
+        "requests.csv": "1b336b6f11d5a0a37d5de43715fbc752c31f5031b210a320a9e43b69c9011d85",
+        "trace.csv": "2bfb31b7fc29e357cb215d6ae845438081adea9be7d08ab81a72a1a22064cb00",
+    }
+    # requests.csv as a csv.writer writes each record's own properties
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(REQUESTS_CSV_HEADER)
+    for records in (result.client_records, result.stage_records):
+        writer.writerows(
+            (r.request_id, r.scope, r.created_at, r.completed_at, r.total, r.exec, r.wait, r.slowdown)
+            for r in records
+        )
+    assert got["requests.csv"] == want.getvalue()
+    # the written trace reads back into the same widths and replays alike
+    rows = read_trace_csv(io.StringIO(got["trace.csv"]))
+    assert [col.typecode for col in rows.columns()] == ["i", "q", "i", "i", "i", "i"]
+    assert artifacts(run_simulation(cfg, replay=replay_trace(rows), collect_trace=True)) == got
