@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 from .config import SimConfig, load_config, parse_field
 from .errors import ConfigError, MalformedTrace, SimError
@@ -93,30 +95,33 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 1
 
-    try:
-        result = run_simulation(cfg)
-    except (ConfigError, MalformedTrace) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except SimError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return 2
+    out = Path(args.out)
+    # the run's records and trace rows go to an unnamed file in --out, which
+    # is made and opened once the config and trace are accepted, before the
+    # first event, and goes when the artifacts are written
+    with ExitStack() as files:
 
-    try:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(result.report.to_json(), encoding="utf-8")
-        with open(out / "requests.csv", "w", encoding="utf-8", newline="") as fp:
-            write_requests_csv((result.client_records, result.stage_records), fp)
-        if args.emit_ecdf and result.client_records:
-            with open(out / "ecdf_slowdown.csv", "w", encoding="utf-8", newline="") as fp:
-                write_ecdf_csv(result.client_records.slowdowns(), fp)
-        if cfg.trace_out:
-            with open(cfg.trace_out, "w", encoding="utf-8", newline="") as fp:
-                write_trace_csv(result.trace_rows, fp)
-    except OSError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return 2
+        def spill() -> BinaryIO:
+            out.mkdir(parents=True, exist_ok=True)
+            return files.enter_context(tempfile.TemporaryFile(dir=out))
+
+        try:
+            result = run_simulation(cfg, _spill=spill)
+            (out / "report.json").write_text(result.report.to_json(), encoding="utf-8")
+            with open(out / "requests.csv", "w", encoding="utf-8", newline="") as fp:
+                write_requests_csv((result.client_records, result.stage_records), fp)
+            if args.emit_ecdf and result.client_records:
+                with open(out / "ecdf_slowdown.csv", "w", encoding="utf-8", newline="") as fp:
+                    write_ecdf_csv(result.client_records.slowdowns(), fp)
+            if cfg.trace_out:
+                with open(cfg.trace_out, "w", encoding="utf-8", newline="") as fp:
+                    write_trace_csv(result.trace_rows, fp)
+        except (ConfigError, MalformedTrace) as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 1
+        except (SimError, OSError) as e:  # OSError: --out, the spill file or an artifact
+            print(f"runtime error: {e}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 import io
 import json
 import operator
+import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, BinaryIO, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -77,16 +78,34 @@ class ColumnView(Sequence):
     A row object is built only when it is read. Subclasses name their
     columns in `_fields` and build one row from one Python int per column
     in `_row`. Views compare equal to any sequence of equal rows.
+
+    Given a file by `spill`, a view writes its rows there as they become
+    final, about BLOCK at a time, each column of a block at its width then,
+    and keeps only the rest in its columns. Reading covers the flushed
+    blocks and then the rows in memory.
     """
 
-    __slots__ = ()
+    __slots__ = ("_spill", "_flushed", "_flush_at")
     _fields: tuple[str, ...] = ()
 
+    def __init__(self):
+        for name in self._fields:
+            setattr(self, name, array("i"))
+        self._spill: Optional[BinaryIO] = None
+        self._flushed: list[tuple[int, int, str]] = []  # (offset, rows, typecodes) per block
+        self._flush_at = sys.maxsize  # rows in memory at which an append flushes
+
+    def spill(self, file: BinaryIO) -> None:
+        """Flush final rows to `file`, an open binary file that other views may share."""
+        self._spill = file
+        self._flush_at = BLOCK
+
     def columns(self) -> list[array]:
+        """The columns of the rows in memory: every row, unless the view spills."""
         return [getattr(self, name) for name in self._fields]
 
     def arrays(self) -> list[np.ndarray]:
-        """The columns as int32 or int64 numpy arrays, each at its own width, without a copy."""
+        """`columns()` as int32 or int64 numpy arrays, each at its own width, without a copy."""
         return [np.frombuffer(col, col.typecode) for col in self.columns()]
 
     def extend(self, columns: Sequence[array]) -> None:
@@ -110,23 +129,56 @@ class ColumnView(Sequence):
             del col[n:]
         self.extend([int_column((v,)) for v in values])
 
+    def _flush(self, rows: int, order: Any = slice(None)) -> None:
+        """Write the first `rows` rows in memory to the spill file as one block, then drop them.
+
+        `order` indexes the rows into the order they are written in.
+        """
+        cols = self.columns()
+        if rows:
+            data = b"".join(np.frombuffer(col, col.typecode, rows)[order].tobytes() for col in cols)
+            offset = self._spill.seek(0, io.SEEK_END)
+            self._spill.write(data)
+            self._flushed.append((offset, rows, "".join(col.typecode for col in cols)))
+            for col in cols:
+                del col[:rows]
+        # rows that are not final yet wait for another BLOCK
+        self._flush_at = len(cols[0]) + BLOCK
+
+    def _read(self, offset: int, rows: int, typecodes: str) -> list[np.ndarray]:
+        """The columns of a flushed block, read back from the spill file."""
+        self._spill.seek(offset)
+        return [np.frombuffer(self._spill.read(rows * np.dtype(t).itemsize), t) for t in typecodes]
+
+    def _chunks(self) -> Iterator[list[np.ndarray]]:
+        """The columns of each flushed block, then those of the rows in memory."""
+        for block in self._flushed:
+            yield self._read(*block)
+        yield self.arrays()
+
     def _row(self, *values: int) -> Any:
         raise NotImplementedError
 
     def __len__(self) -> int:
-        return len(getattr(self, self._fields[0]))
+        return sum(rows for _, rows, _ in self._flushed) + len(getattr(self, self._fields[0]))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return list(map(self._row, *(col[i].tolist() for col in self.columns())))
-        i = operator.index(i)
+            # reads every row, flushed ones too: slices are for small views
+            cols = (np.concatenate(blocks) for blocks in zip(*self._chunks()))
+            return list(map(self._row, *(col[i].tolist() for col in cols)))
+        i = range(len(self))[i]  # IndexError and negative indices as for a list
+        for block in self._flushed:
+            if i < block[1]:
+                return self._row(*(int(col[i]) for col in self._read(*block)))
+            i -= block[1]
         return self._row(*(int(col[i]) for col in self.columns()))
 
     def blocks(self, rows: int = BLOCK) -> Iterator[list[np.ndarray]]:
-        """The columns as numpy arrays, `rows` rows at a time."""
-        cols = self.arrays()
-        for start in range(0, len(self), rows):
-            yield [col[start:start + rows] for col in cols]
+        """The columns as numpy arrays, at most `rows` rows at a time."""
+        for cols in self._chunks():
+            for start in range(0, len(cols[0]), rows):
+                yield [col[start:start + rows] for col in cols]
 
     def __iter__(self) -> Iterator[Any]:
         for block in self.blocks():
@@ -169,9 +221,7 @@ class RecordColumns(ColumnView):
 
     def __init__(self, scope: str):
         self.scope = scope  # "client" or "stage"
-        self.request_id, self.created_at, self.completed_at, self.exec = (
-            array("i") for _ in self._fields
-        )
+        super().__init__()
 
     def append(
         self, request_id: int, created_at: SimTime, completed_at: SimTime, exec_time: SimTime
@@ -189,19 +239,26 @@ class RecordColumns(ColumnView):
                     f"request {request_id}: a time in ({created_at}, {completed_at}, "
                     f"{exec_time}) us does not fit int64"
                 ) from None
+        if len(self.exec) >= self._flush_at:
+            self._flush(len(self.exec))
 
     def _row(self, request_id: int, created_at: int, completed_at: int, exec_time: int) -> RequestRecord:
         return RequestRecord(request_id, self.scope, created_at, completed_at, exec_time)
 
     def slowdowns(self) -> np.ndarray:
-        """total / exec per record, as one new float64 column."""
-        _, created, completed, exec_time = self.arrays()
-        if not _exact(created, completed):
-            return _derived(created, completed, exec_time)[1]
-        # the operands are exact doubles, so the difference is the exact
-        # total and the division rounds the exact quotient once
-        vals = np.subtract(completed, created, dtype=np.float64)
-        vals /= exec_time
+        """total / exec per record, as one new float64 column filled a stored block at a time."""
+        vals = np.empty(len(self))
+        end = 0
+        for _, created, completed, exec_time in self._chunks():
+            start, end = end, end + len(created)
+            if not _exact(created, completed):
+                vals[start:end] = _derived(created, completed, exec_time)[1]
+                continue
+            # the operands are exact doubles, so the difference is the exact
+            # total and the division rounds the exact quotient once
+            block = vals[start:end]
+            np.subtract(completed, created, out=block, dtype=np.float64)
+            block /= exec_time
         return vals
 
 

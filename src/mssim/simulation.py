@@ -12,7 +12,7 @@ import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count
-from typing import Optional
+from typing import BinaryIO, Callable, Optional
 
 from . import workload
 from .config import SimConfig
@@ -38,6 +38,8 @@ class SimResult:
 
     The views hold int32 columns, each widened to int64 once a value needs
     it, and build a `RequestRecord` or `TraceRow` only when a row is read.
+    A run that spilled keeps most of its rows in the spill file, which
+    must stay open while the views are read.
     """
 
     report: SimReport
@@ -244,11 +246,14 @@ def run_simulation(
     cfg: SimConfig,
     replay: Optional[ReplayPlan] = None,
     collect_trace: Optional[bool] = None,
+    _spill: Optional[Callable[[], BinaryIO]] = None,
 ) -> SimResult:
     """Run one simulation; replay bypasses all workload samplers.
 
     Without `replay`, a `cfg.trace_in` file is read and checked before the
-    run.
+    run. `_spill`, which the command line passes, opens the file that the
+    run's records and trace rows are flushed to; it is called once the
+    trace is accepted, before the first event.
     """
     if replay is None and cfg.trace_in is not None:
         replay = _read_trace_in(cfg)
@@ -256,4 +261,8 @@ def run_simulation(
     # the simulation drops a replay plan once its last request is admitted;
     # holding it here would keep it alive until the run ends
     replay = None
+    if _spill is not None:
+        spill = _spill()
+        for view in (sim.collector.client_records, sim.collector.stage_records, sim.trace):
+            view.spill(spill)
     return sim.run()

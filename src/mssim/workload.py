@@ -10,7 +10,7 @@ import csv
 import io
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import astuple, dataclass
 from enum import Enum
@@ -648,13 +648,15 @@ class ReplayPlan:
 
 
 class TraceColumns(ColumnView):
-    """Trace rows as six columns, as wide as their values; `called_by` is -1 where it is None."""
+    """Trace rows as six columns, as wide as their values; `called_by` is -1 where it is None.
+
+    A view that spills must be given its rows in non-decreasing timestamp
+    order, as a run dispatches them. Its flushed blocks are then the sorted
+    trace's first rows: a flush writes every row but those at the last
+    timestamp, which a later row may still sort before, in `_order`.
+    """
 
     __slots__ = _fields = tuple(TRACE_HEADER)
-
-    def __init__(self):
-        for name in self._fields:
-            setattr(self, name, array("i"))
 
     @classmethod
     def from_rows(cls, rows: Sequence[TraceRow]) -> TraceColumns:
@@ -683,21 +685,27 @@ class TraceColumns(ColumnView):
             self.called_by.append(called_by)
         except OverflowError:
             self._append_wide((request_id, timestamp, called_ms, exetime, hops_done, called_by))
+        if len(self.called_by) >= self._flush_at:
+            rows = bisect_left(self.timestamp, timestamp)
+            self._flush(rows, self._order(rows))
 
     def _row(self, *values: int) -> TraceRow:
         *head, called_by = values
         return TraceRow(*head, None if called_by < 0 else called_by)
 
+    def _order(self, rows: int) -> np.ndarray:
+        """The first `rows` rows in memory by (timestamp, request_id, hops_done), ties as appended."""
+        request_id, timestamp, _, _, hops_done, _ = (col[:rows] for col in self.arrays())
+        return np.lexsort((hops_done, request_id, timestamp))  # last key first; stable
+
     def sort(self) -> None:
-        """Sort the rows in place by (timestamp, request_id, hops_done), ties in insertion order.
+        """Sort the rows in memory in place, by `_order`; flushed blocks are sorted already.
 
         Each column is permuted through its numpy view in turn, so beside
         the rows the sort holds the order and one permuted column.
         """
-        cols = self.arrays()
-        request_id, timestamp, _, _, hops_done, _ = cols
-        order = np.lexsort((hops_done, request_id, timestamp))  # last key first; stable
-        for col in cols:
+        order = self._order(len(self.called_by))
+        for col in self.arrays():
             col[:] = col[order]
 
 

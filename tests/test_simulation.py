@@ -117,7 +117,7 @@ def test_replay_reproduces_run_byte_for_byte():
 @pytest.mark.xfail(
     strict=True, raises=MalformedTrace,
     reason="a six-column trace row cannot name its parent when two stages of one "
-    "level share a microservice (ROADMAP item 3)",
+    "level share a microservice (ROADMAP item 5)",
 )
 def test_fan_out_two_at_depth_two_replays_byte_for_byte():
     cfg = SimConfig(
