@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import operator
 import sys
 from array import array
@@ -58,10 +59,10 @@ class RequestRecord:
 
 
 BLOCK = 2048  # rows turned into Python objects at a time
-# rows of an artifact formatted at a time; a BLOCK of them as Python
-# objects would set the heap peak of a replay
+# rows of an artifact formatted, or trace records parsed, at a time; a
+# BLOCK of them as Python objects would set the heap peak of a replay
 WRITE_ROWS = 256
-_EXACT = 2**53  # integers below this are exact as float64
+_EXACT = 2**53  # integers in [0, _EXACT) and their differences are exact as float64
 
 
 def int_column(fields: Sequence) -> array:
@@ -195,16 +196,11 @@ class ColumnView(Sequence):
         return f"<{type(self).__name__}: {len(self)} rows>"
 
 
-def _exact(created: np.ndarray, completed: np.ndarray) -> bool:
-    """Whether every total and exec is an exact double (exec <= total, checked when recorded)."""
-    return not len(created) or (created.min() >= 0 and completed.max() < _EXACT)
-
-
 def _derived(
     created: np.ndarray, completed: np.ndarray, exec_time: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """total and total / exec per record, equal to Python's int arithmetic on them."""
-    if _exact(created, completed):
+    if not len(created) or (created.min() >= 0 and completed.max() < _EXACT):
         # numpy's division rounds the exact quotient once, as int / int does;
         # 0 <= total <= completed, so an int32 difference cannot wrap
         total = completed - created
@@ -245,21 +241,14 @@ class RecordColumns(ColumnView):
     def _row(self, request_id: int, created_at: int, completed_at: int, exec_time: int) -> RequestRecord:
         return RequestRecord(request_id, self.scope, created_at, completed_at, exec_time)
 
+    def slowdown_blocks(self) -> Iterator[np.ndarray]:
+        """total / exec per record, as a float64 array per block of `blocks()`."""
+        for _, created, completed, exec_time in self.blocks():
+            yield _derived(created, completed, exec_time)[1]
+
     def slowdowns(self) -> np.ndarray:
-        """total / exec per record, as one new float64 column filled a stored block at a time."""
-        vals = np.empty(len(self))
-        end = 0
-        for _, created, completed, exec_time in self._chunks():
-            start, end = end, end + len(created)
-            if not _exact(created, completed):
-                vals[start:end] = _derived(created, completed, exec_time)[1]
-                continue
-            # the operands are exact doubles, so the difference is the exact
-            # total and the division rounds the exact quotient once
-            block = vals[start:end]
-            np.subtract(completed, created, out=block, dtype=np.float64)
-            block /= exec_time
-        return vals
+        """total / exec per record, as one float64 column (what `--emit-ecdf` holds)."""
+        return np.concatenate([np.empty(0), *self.slowdown_blocks()])
 
 
 def imbalance(per_interval_utils: np.ndarray) -> float:
@@ -294,6 +283,91 @@ def percentile(values: Sequence[float], q: float) -> float:
     if len(values) == 0:
         raise EmptyInput("percentile of empty input")
     return float(np.quantile(np.asarray(values, dtype=float), q, method="inverted_cdf"))
+
+
+def _pairwise_sum(blocks: Iterator[np.ndarray], n: int) -> float:
+    """np.add.reduce of the first n values of `blocks` joined, holding about one block.
+
+    numpy sums by a fixed tree: a range of over 128 values splits after half
+    of it, rounded down to a multiple of 8 (Higham 1993). A node is summed by
+    numpy if within a block, else joined if at most 128, else as its halves.
+    """
+    buf, start = np.empty(0), 0  # the block at hand and the index of its first value
+
+    def node(at: int, size: int) -> float:
+        nonlocal buf, start
+        while at >= start + len(buf):
+            start, buf = start + len(buf), next(blocks)
+        if at + size <= start + len(buf):
+            return np.add.reduce(buf[at - start:at + size - start])
+        if size > 128:
+            half = size // 2 - size // 2 % 8
+            return node(at, half) + node(at + half, size - half)
+        parts = [buf[at - start:]]
+        while at + size > start + len(buf):
+            start, buf = start + len(buf), next(blocks)
+            parts.append(buf[:at + size - start])
+        return np.add.reduce(np.concatenate(parts))
+
+    return float(node(0, n))
+
+
+_BITS = 12  # a selection pass counts a key range in 4,096 bins
+
+
+def _summary(records: RecordColumns) -> Optional[dict]:
+    """np.mean, p50 and p99 (method="inverted_cdf") of the slowdowns, bit for bit; None if none.
+
+    Streamed over the record blocks: the first pass takes `_pairwise_sum`.
+    p50 and p99 are selected by radix passes (Munro & Paterson 1980) over the
+    int64 views of the doubles, in value order as every slowdown is >= 1:
+    a pass counts the range that holds the rank and narrows it to the bin
+    that does, until it holds one key, or at most BLOCK for the next to collect.
+    """
+    n = len(records)
+    if not n:
+        return None
+
+    def scan(tallies: dict) -> Iterator[np.ndarray]:
+        for vals in records.slowdown_blocks():
+            keys = vals.view(np.int64)
+            for (lo, hi, shift), tally in tallies.items():
+                sub = keys[(keys >= lo) & (keys < hi)]
+                if shift is None:
+                    tally.append(sub)
+                elif len(sub):
+                    tally[:] = (tally[0] + np.bincount((sub - lo) >> shift, minlength=1 << _BITS),
+                                min(tally[1], int(sub.min())), max(tally[2], int(sub.max())))
+            yield vals
+
+    one = int(np.float64(1).view(np.int64))
+    # per quantile (lo, hi, shift, rank): its key is the rank-th in [lo, hi),
+    # tallied as keys if shift is None, else as counts per 2**shift keys, least
+    # and greatest; the first pass counts [1.0, 2.0**128) in 32nds of an octave
+    pending = {q: (one, one + (1 << 59), 47, max(math.ceil(n * q - 1), 0)) for q in (0.50, 0.99)}
+    found, mean = {}, None
+    while pending:
+        tallies = {r[:3]: [] if r[2] is None else [0, 1 << 63, 0] for r in pending.values()}
+        blocks = scan(tallies)
+        if mean is None:
+            mean = _pairwise_sum(blocks, n) / n
+        for _ in blocks:
+            pass
+        for q, (lo, hi, shift, rank) in list(pending.items()):
+            tally = tallies[lo, hi, shift]
+            del pending[q]
+            if shift is None:
+                found[q] = np.partition(np.concatenate(tally), rank)[rank]
+            elif tally[1] == tally[2]:  # one key, taken without its copies
+                found[q] = tally[1]
+            else:
+                below = np.cumsum(tally[0])
+                b = int(np.searchsorted(below, rank, side="right"))
+                lo, count = lo + (b << shift), int(tally[0][b])
+                narrow = None if count <= BLOCK else max(shift - _BITS, 0)
+                pending[q] = (lo, lo + (1 << shift), narrow, rank - int(below[b]) + count)
+    p50, p99 = np.array([found[0.50], found[0.99]], np.int64).view(np.float64).tolist()
+    return {"mean": mean, "p50": p50, "p99": p99}
 
 
 @dataclass
@@ -343,9 +417,9 @@ class MetricsCollector:
             self._rows_by_ms.setdefault(inst.ms, []).append(row)
         self.client_records = RecordColumns("client")
         self.stage_records = RecordColumns("stage")
-        # snapshot series: (time, cumulative busy per instance)
-        self.util_snapshots: list[tuple[SimTime, list[SimTime]]] = []
-        self.imbalance_snapshots: list[tuple[SimTime, list[SimTime]]] = []
+        # snapshot series, flat: the time, then the cumulative busy per instance
+        self.util_snapshots = array("q")
+        self.imbalance_snapshots = array("q")
 
     # both recorders check the times, so a bad run fails where it goes wrong
 
@@ -363,24 +437,22 @@ class MetricsCollector:
 
     def snapshot(self, kind: str, at: SimTime, busy_cum: list[SimTime]) -> None:
         series = self.util_snapshots if kind == "util" else self.imbalance_snapshots
-        series.append((at, busy_cum))
+        series.append(at)
+        series.extend(busy_cum)
 
     # -- finalization --------------------------------------------------------
 
-    def _window_utils(self, snapshots: list[tuple[SimTime, list[SimTime]]]) -> np.ndarray:
+    def _window_utils(self, snapshots: array) -> np.ndarray:
         """Per-instance utilization per window, from cumulative busy snapshots.
 
         The result has shape (instances, windows).
         """
         n = len(self.instance_ids)
-        if not snapshots:
-            return np.zeros((n, 0))
-        times = np.array([0] + [t for t, _ in snapshots], dtype=float)
-        busy = np.vstack(
-            [np.zeros(n)] + [np.asarray(b, dtype=float) for _, b in snapshots]
-        )
-        lengths = np.diff(times)
-        deltas = np.diff(busy, axis=0).T  # (instances, windows)
+        # a row of zeros at time 0, then one row per snapshot, as doubles
+        rows = np.zeros((len(snapshots) // (n + 1) + 1, n + 1))
+        rows[1:] = np.frombuffer(snapshots, np.int64).reshape(-1, n + 1)
+        lengths = np.diff(rows[:, 0])
+        deltas = np.diff(rows[:, 1:], axis=0).T  # (instances, windows)
         keep = lengths > 0
         return deltas[:, keep] / lengths[keep]
 
@@ -413,19 +485,6 @@ class MetricsCollector:
         lb_policy: str,
         queue_policy: str,
     ) -> SimReport:
-        def summary(records: RecordColumns) -> Optional[dict]:
-            if not records:
-                return None
-            # checked when recorded; the same doubles slowdown() gives
-            vals = records.slowdowns()
-            # the mean first: np.mean's pairwise sum depends on element order,
-            # and the quantiles then partition this fresh column in place
-            mean = float(np.mean(vals))
-            p50, p99 = np.quantile(
-                vals, (0.50, 0.99), method="inverted_cdf", overwrite_input=True
-            ).tolist()
-            return {"mean": mean, "p50": p50, "p99": p99}
-
         return SimReport(
             client_requests=len(self.client_records),
             stage_requests=len(self.stage_records),
@@ -434,8 +493,8 @@ class MetricsCollector:
             seed=seed,
             lb_policy=lb_policy,
             queue_policy=queue_policy,
-            client_slowdown=summary(self.client_records),
-            stage_slowdown=summary(self.stage_records),
+            client_slowdown=_summary(self.client_records),
+            stage_slowdown=_summary(self.stage_records),
             utilization_by_ms=self.utilization_by_ms(),
             imbalance_by_ms=self.imbalance_by_ms(),
         )

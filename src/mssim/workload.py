@@ -765,7 +765,7 @@ def _append_records(cols: TraceColumns, block: list[list[str]], lineno: int) -> 
 def read_trace_csv(fp: io.TextIOBase) -> TraceColumns:
     """The rows of a trace CSV as columns, each row checked by the row rules.
 
-    Records are read BLOCK at a time. A block with a bad record is read
+    Records are read WRITE_ROWS at a time. A block with a bad record is read
     again record by record, so the error names the line of the first one
     (counted in CSV records, blank ones included, the header being line 1).
     A record that csv cannot split raises csv.Error naming its line.
@@ -777,7 +777,7 @@ def read_trace_csv(fp: io.TextIOBase) -> TraceColumns:
             raise MalformedTrace(f"bad trace header: {header!r}")
         cols = TraceColumns()
         lineno = 2
-        while block := list(islice(reader, BLOCK)):
+        while block := list(islice(reader, WRITE_ROWS)):
             checked = _checked_block(block)
             if checked is None:
                 _append_records(cols, block, lineno)
