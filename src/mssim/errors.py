@@ -33,18 +33,6 @@ class MalformedTrace(SimError):
     """A trace file or row set cannot be reconstructed into requests."""
 
 
-class DuplicateInstance(SimError):
-    """Attempt to register an instance already present in the registry."""
-
-
-class NoActiveInstance(SimError):
-    """Dispatch attempted against a microservice with no active instances."""
-
-
-class WrongTarget(SimError):
-    """A stage was delivered to an instance of a different microservice."""
-
-
 class InvalidMetric(SimError):
     """A metric was computed from impossible inputs."""
 

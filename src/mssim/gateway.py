@@ -10,7 +10,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .engine import SimTime
-from .errors import DuplicateInstance, NoActiveInstance
 from .model import MicroserviceId
 
 if TYPE_CHECKING:
@@ -24,28 +23,28 @@ class LbPolicy(Enum):
 
 
 class Registry:
-    """Service discovery: microservice id -> its instances in slot order (+ RR cursors)."""
+    """Service discovery: microservice id -> its instances in slot order (+ RR cursors).
+
+    Every instance is registered once, before the run. Every microservice a
+    stage can target has one: the config and `Simulation` refuse anything
+    else before the first event.
+    """
 
     def __init__(self) -> None:
         self.entries: dict[MicroserviceId, list[InstanceState]] = {}
         self.rr_cursor: dict[MicroserviceId, int] = {}
 
     def instances(self, ms: MicroserviceId) -> list[InstanceState]:
-        return self.entries.get(ms, [])
+        return self.entries[ms]
 
     def register(self, instance: InstanceState) -> None:
-        """Add an instance; register each microservice's instances in slot order."""
-        lst = self.entries.setdefault(instance.id.ms, [])
-        if any(other.id == instance.id for other in lst):
-            raise DuplicateInstance(f"{instance.id} already registered")
-        lst.append(instance)
+        """Add an instance; register each microservice's instances in slot order, each once."""
+        self.entries.setdefault(instance.id.ms, []).append(instance)
         self.rr_cursor.setdefault(instance.id.ms, 0)
 
     def select_round_robin(self, ms: MicroserviceId) -> InstanceState:
         """Each instance in turn; loops back at the end of the list."""
-        lst = self.entries.get(ms, [])
-        if not lst:
-            raise NoActiveInstance(f"microservice {ms} has no active instances")
+        lst = self.entries[ms]
         cursor = self.rr_cursor[ms]
         instance = lst[cursor]
         self.rr_cursor[ms] = (cursor + 1) % len(lst)
@@ -54,13 +53,9 @@ class Registry:
 
 def select_least_connection(states: Sequence[InstanceState]) -> InstanceState:
     """Fewest queued stages; ties broken by lowest slot index."""
-    if not states:
-        raise NoActiveInstance("no instances to choose from")
     return min(states, key=lambda s: (len(s.queue), s.id.slot))
 
 
 def select_greedy(states: Sequence[InstanceState], now: SimTime) -> InstanceState:
     """Least backlog at `now` (InstanceState.backlog); ties broken by lowest slot index."""
-    if not states:
-        raise NoActiveInstance("no instances to choose from")
     return min(states, key=lambda s: (s.backlog(now), s.id.slot))

@@ -19,10 +19,11 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from operator import attrgetter
 from typing import Optional
 
 from .engine import SimTime, round_half_up
-from .errors import ConfigError, WrongTarget
+from .errors import ConfigError
 from .model import ClientRequest, InstanceId, Stage
 
 
@@ -48,28 +49,29 @@ class QueuePolicy:
             raise ConfigError("quantum must be > 0")
 
 
+# each run-to-completion policy's queue order; fair share has a turn order instead
+_QUEUE_ORDER = {
+    QueueKind.FCFS: attrgetter("arrival", "request_id"),
+    QueueKind.SHORTEST_FIRST: attrgetter("remaining", "arrival", "request_id"),
+    QueueKind.EDS: attrgetter("deadline", "arrival", "request_id"),
+    QueueKind.EXDS: attrgetter("deadline", "arrival", "request_id"),
+}
+
+
 class _KeyedQueue(list):
-    """Priority queue (a heap) over a policy key; ties by (arrival, request_id, seq)."""
+    """Priority queue (a heap) of (*key(stage), seq, stage): a policy's order, then push order."""
 
-    __slots__ = ("_primary", "_seq", "exec_sum")
+    __slots__ = ("_key", "_seq", "exec_sum")
 
-    def __init__(self, primary: Optional[str]):
+    def __init__(self, key: attrgetter):
         super().__init__()
-        # primary: None (pure fcfs), "remaining", or "deadline"
-        self._primary = primary
+        self._key = key
         self._seq = 0
         self.exec_sum: SimTime = 0
 
     def push(self, st: Stage) -> None:
-        tie = (st.arrival, st.request_id, self._seq)
-        if self._primary is None:
-            key = tie
-        elif self._primary == "remaining":
-            key = (st.remaining, *tie)
-        else:
-            key = (st.deadline, *tie)
+        heapq.heappush(self, (*self._key(st), self._seq, st))
         self._seq += 1
-        heapq.heappush(self, (*key, st))
         self.exec_sum += st.remaining
 
     def popleft(self) -> Stage:
@@ -77,14 +79,6 @@ class _KeyedQueue(list):
         stage = heapq.heappop(self)[-1]
         self.exec_sum -= stage.remaining
         return stage
-
-
-def _make_queue(policy: QueuePolicy):
-    if policy.kind is QueueKind.FAIR_SHARE:
-        raise ConfigError("a fair-share instance is a FairShareState")
-    if policy.kind.has_deadlines:
-        return _KeyedQueue("deadline")
-    return _KeyedQueue("remaining" if policy.kind is QueueKind.SHORTEST_FIRST else None)
 
 
 class InstanceState:
@@ -107,8 +101,10 @@ class InstanceState:
     )
 
     def __init__(self, instance_id: InstanceId, policy: QueuePolicy):
+        if policy.kind is QueueKind.FAIR_SHARE:
+            raise ConfigError("a fair-share instance is a FairShareState")
         self.id = instance_id
-        self.queue = _make_queue(policy)
+        self.queue = _KeyedQueue(_QUEUE_ORDER[policy.kind])
         self.current: Optional[Stage] = None
         self.slice_start: SimTime = 0
         self.slice_end: SimTime = 0
@@ -142,8 +138,6 @@ class InstanceState:
         Returns the running stage's completion time when it is new (a
         start, or a fair-share join that moves it), else None.
         """
-        if stage.target != self.id.ms:
-            raise WrongTarget(f"stage targets ms {stage.target}, instance is {self.id}")
         if self.current is None:
             return self._start(stage, now)
         return self._wait(stage, now)
@@ -319,21 +313,23 @@ def assign_deadlines(req: ClientRequest, kind: QueueKind, sla: SimTime) -> None:
     while level:
         levels.append(level)
         level = [child for stage in level for child in stage.children]
-    if kind is QueueKind.EXDS:
-        weights = [max(stage.exec_time for stage in level) for level in levels]
-    else:
-        weights = [1] * len(levels)
-    for level, deadline in zip(levels, level_deadlines(req.created_at, sla, weights)):
+    longest = [max(stage.exec_time for stage in level) for level in levels]
+    for level, deadline in zip(levels, level_deadlines(req.created_at, sla, longest, kind)):
         for stage in level:
             stage.deadline = deadline
 
 
-def level_deadlines(created_at: SimTime, sla: SimTime, weights: list[int]) -> list[SimTime]:
+def level_deadlines(
+    created_at: SimTime, sla: SimTime, longest: list[SimTime], kind: QueueKind
+) -> list[SimTime]:
     """Per level, created_at + sla * (weights of it and the levels above) / (all weights).
 
-    `sla * acc` is an exact int and `/` rounds the quotient once, so a
-    deadline does not depend on whether the product fits a double.
+    `longest` holds each level's largest exec_time, the level's weight
+    under EXDS; under EDS every level weighs 1. `sla * acc` is an exact
+    int and `/` rounds the quotient once, so a deadline does not depend on
+    whether the product fits a double.
     """
+    weights = longest if kind is QueueKind.EXDS else [1] * len(longest)
     total = sum(weights)
     if total <= 0:
         raise ConfigError("total execution time must be > 0 to assign deadlines")

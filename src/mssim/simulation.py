@@ -56,6 +56,8 @@ class Simulation:
         collect_trace: Optional[bool] = None,
     ):
         cfg.validate()
+        if replay is not None:
+            _check_deployed(replay, len(cfg.microservices))
         self.cfg = cfg
         self.engine = Engine()
         self.registry = Registry()
@@ -221,14 +223,32 @@ def _read_trace_in(cfg: SimConfig) -> ReplayPlan:
         raise MalformedTrace(f"trace_in {cfg.trace_in}: {e}") from None
     request_id, _, called_ms, _, _, called_by = rows.arrays()
     n = len(cfg.microservices)
+    # in file order and before the forest checks; `Simulation` checks the plan again
     undeployed = (called_ms < 0) | (called_ms >= n) | (called_by >= n)
     if undeployed.any():
         i = int(undeployed.argmax())
         ms = called_ms[i] if not 0 <= called_ms[i] < n else called_by[i]
-        raise MalformedTrace(
-            f"request {request_id[i]}: microservice {ms} is not deployed (the config has {n})"
-        )
+        raise _not_deployed(request_id[i], ms, n)
     return workload.replay_trace(rows)
+
+
+def _check_deployed(plan: ReplayPlan, n: int) -> None:
+    """Refuse a plan that names a microservice outside [0, n), by its first such row.
+
+    A stage's caller is its parent's target, so the targets cover the callers.
+    """
+    called_ms = plan.called_ms
+    undeployed = (called_ms < 0) | (called_ms >= n)
+    if undeployed.any():
+        row = int(undeployed.argmax())
+        request = int(plan.starts.searchsorted(row, side="right")) - 1
+        raise _not_deployed(plan.request_id[request], called_ms[row], n)
+
+
+def _not_deployed(request_id: int, ms: int, n: int) -> MalformedTrace:
+    return MalformedTrace(
+        f"request {request_id}: microservice {ms} is not deployed (the config has {n})"
+    )
 
 
 def _not_utf8(path: str, error: UnicodeDecodeError) -> str:

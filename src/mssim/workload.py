@@ -610,8 +610,8 @@ class ReplayPlan:
             roots: list[Stage] = []
             crit_exec = 0
             depth = -1
-            # rows come by depth; per level, the largest exec (its EXDS weight)
-            weights: list[SimTime] = []
+            # rows come by depth; per level, the largest exec
+            longest: list[SimTime] = []
             for target, exec_time, back in islice(cells, size):
                 if back:
                     parent = built[-back]
@@ -629,17 +629,15 @@ class ReplayPlan:
                     path = exec_time
                 if d != depth:
                     depth = d
-                    weights.append(exec_time)
-                elif exec_time > weights[-1]:
-                    weights[-1] = exec_time
+                    longest.append(exec_time)
+                elif exec_time > longest[-1]:
+                    longest[-1] = exec_time
                 if path > crit_exec:  # exec > 0, so the longest path ends at a leaf
                     crit_exec = path
                 built.append(stage)
                 paths.append(path)
             if kind is not None:
-                if kind is not QueueKind.EXDS:
-                    weights = [1] * len(weights)
-                deadlines = level_deadlines(created_at, sla, weights)
+                deadlines = level_deadlines(created_at, sla, longest, kind)
                 for stage in built[first:]:
                     stage.deadline = deadlines[stage.depth]
             # the last row is at the deepest level

@@ -35,6 +35,8 @@ RUNS = {
                    "instance.finish_slice", "gateway.select", "workload.build",
                    "workload.interarrival")),
     "exds-lc": ("exds", "least_connection", ("instance.deadline", "metrics.record")),
+    # round robin is spanned only through `Registry.select_round_robin`
+    "fcfs-rr": ("fcfs", "round_robin", ("gateway.select", "workload.build")),
 }
 
 

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mssim.engine import Engine
-from mssim.errors import ConfigError, WrongTarget
+from mssim.errors import ConfigError
 from mssim.instance import (
     FairShareState,
     InstanceState,
@@ -52,12 +53,6 @@ def test_enqueue_to_busy_queues_without_preemption():
     assert inst.current.request_id == 0
 
 
-def test_wrong_target_rejected():
-    inst = instance()
-    with pytest.raises(WrongTarget):
-        enq(inst, stage(100, target=3), 0)
-
-
 def test_fcfs_picks_earliest_arrival():
     inst = instance(QueueKind.FCFS)
     enq(inst, stage(10, rid=9, arrival=0), 0)  # starts
@@ -93,6 +88,40 @@ def test_pick_tie_breaks_by_arrival_then_request_id():
     enq(inst, stage(10, rid=3, arrival=0), 0)
     inst.finish_slice(1)
     assert inst.current.request_id == 3
+
+
+# the keys a queue ordered by before its order was a table, one branch per kind
+OLD_KEYS = {
+    QueueKind.FCFS: lambda s: (s.arrival, s.request_id),
+    QueueKind.SHORTEST_FIRST: lambda s: (s.remaining, s.arrival, s.request_id),
+    QueueKind.EDS: lambda s: (s.deadline, s.arrival, s.request_id),
+    QueueKind.EXDS: lambda s: (s.deadline, s.arrival, s.request_id),
+}
+tied = st.integers(0, 2)  # few values, so that every field ties often
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(OLD_KEYS)),
+    # a stage's (arrival, request_id, remaining, deadline) to push, or None to pop
+    st.lists(st.one_of(st.none(), st.tuples(tied, tied, st.integers(1, 3), tied)), max_size=30),
+)
+def test_a_queue_pops_by_its_policy_key_then_push_order(kind, ops):
+    queue = instance(kind).queue
+    waiting = []  # (old key, push number, stage)
+    for pushed, op in enumerate(ops):
+        if op is None:
+            if waiting:
+                expected = min(waiting, key=lambda w: w[:2])
+                waiting.remove(expected)
+                assert queue.popleft() is expected[2]
+            continue
+        arrival, rid, remaining, deadline = op
+        new = stage(remaining, rid=rid, arrival=arrival, deadline=deadline)
+        waiting.append((OLD_KEYS[kind](new), pushed, new))
+        queue.push(new)
+    assert [queue.popleft() for _ in waiting] == [w[2] for w in sorted(waiting, key=lambda w: w[:2])]
+    assert queue.exec_sum == 0
 
 
 def test_run_to_completion_single_slice():

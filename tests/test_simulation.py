@@ -14,7 +14,7 @@ from mssim import simulation
 from mssim.config import SimConfig
 from mssim.errors import MalformedTrace
 from mssim.gateway import LbPolicy
-from mssim.instance import QueueKind, QueuePolicy
+from mssim.instance import InstanceState, QueueKind, QueuePolicy
 from mssim.metrics import REQUESTS_CSV_HEADER, write_requests_csv
 from mssim.simulation import Simulation, run_simulation
 from mssim.workload import (
@@ -260,6 +260,48 @@ def test_every_queue_policy_runs(policy, name):
     result = run_simulation(small_cfg(queue_policy=policy, end_time=500_000))
     assert result.report.queue_policy == name
     assert result.report.client_requests > 0
+
+
+@pytest.mark.parametrize("lb", list(LbPolicy), ids=lambda lb: lb.value)
+@pytest.mark.parametrize("kind", list(QueueKind), ids=lambda kind: kind.value)
+def test_every_stage_is_enqueued_on_an_instance_of_its_target(monkeypatch, kind, lb):
+    # no instance checks a stage's target: the gateway chooses among the target's instances
+    enqueued = []
+    enqueue = InstanceState.enqueue  # FairShareState inherits it
+
+    def recorded(state, stage, now):
+        enqueued.append((stage.target, state.id.ms))
+        return enqueue(state, stage, now)
+
+    monkeypatch.setattr(InstanceState, "enqueue", recorded)
+    cfg = small_cfg(queue_policy=QueuePolicy(kind, quantum=500), lb_policy=lb, end_time=500_000)
+    sampled = run_simulation(cfg, collect_trace=True)
+    replayed = run_simulation(cfg, replay=replay_trace(sampled.trace_rows), collect_trace=True)
+    assert len(enqueued) == len(sampled.trace_rows) + len(replayed.trace_rows)
+    assert {ms for _, ms in enqueued} == {0, 1}
+    assert all(target == ms for target, ms in enqueued)
+
+
+@pytest.mark.parametrize("lb", list(LbPolicy), ids=lambda lb: lb.value)
+@pytest.mark.parametrize("ms", [-1, 2])
+def test_a_plan_naming_an_undeployed_microservice_is_refused_before_the_first_event(
+    monkeypatch, ms, lb
+):
+    rows = [
+        TraceRow(0, 0, 0, 10, 0),
+        TraceRow(1, 5, 1, 10, 0),
+        TraceRow(1, 5, ms, 10, 1, called_by=1),
+    ]
+
+    def fire(handler, payload):
+        raise AssertionError(f"{handler.__name__} fired")
+
+    # the `fire` argument of the engine's run_until and drain
+    monkeypatch.setattr(simulation, "deliver", fire)
+    with pytest.raises(MalformedTrace) as refused:
+        run_simulation(small_cfg(lb_policy=lb), replay=replay_trace(rows))
+    # the message a --trace-in row naming it gets
+    assert str(refused.value) == f"request 1: microservice {ms} is not deployed (the config has 2)"
 
 
 def test_utilization_and_imbalance_in_range():
