@@ -53,15 +53,18 @@ class ClientRequest:
     """Full call tree of one client request.
 
     A run builds each request when it schedules its arrival, a replayed one
-    with the rest of its batch, so it holds the trees in flight and in the
-    current batch, not every tree of a trace. Every request of a run has
-    the run's `sla` as its deadline budget.
+    with the rest of its batch. At the arrival the simulation takes the
+    roots off the request, leaving `root_stages` empty, so a finished stage
+    is freed once its children are dispatched: a run holds the stages in
+    flight and the trees not yet arrived, not every stage of a request
+    until its last completes. Every request of a run has the run's `sla`
+    as its deadline budget.
     """
 
     request_id: int
     created_at: SimTime
     max_depth: int
-    root_stages: list[Stage] = field(default_factory=list)
+    root_stages: Sequence[Stage] = field(default_factory=list)
     # stage_count and critical_path_exec, counted by build_client_request and
     # ReplayPlan while they build the tree
     stages: int = 0

@@ -95,7 +95,10 @@ class Simulation:
         now = self.engine.now
         self._schedule_next_arrival()
         req.pending = req.stages
-        for root in req.root_stages:
+        # nothing reads the roots after this, so each stage is freed once its
+        # children are dispatched, not when its request completes
+        roots, req.root_stages = req.root_stages, ()
+        for root in roots:
             root.client = req
             self._dispatch_stage(root, now)
 
@@ -211,8 +214,15 @@ def _sampled(
 
 def _read_trace_in(cfg: SimConfig) -> ReplayPlan:
     """The checked requests of `cfg.trace_in`, refused if a row names an undeployed microservice."""
+    # looked up on the module, so that a profiler can wrap it; no name here
+    # holds the read rows, so replay_trace frees each column once it is sorted
+    return workload.replay_trace(_checked_rows(cfg))
+
+
+def _checked_rows(cfg: SimConfig) -> TraceColumns:
+    """The rows of `cfg.trace_in`, refused if one names an undeployed microservice."""
     try:
-        # looked up on the module, so that a profiler can wrap them
+        # looked up on the module, so that a profiler can wrap it
         with open(cfg.trace_in, encoding="utf-8") as fp:
             rows = workload.read_trace_csv(fp)
     except OSError as e:  # missing, a directory, unreadable
@@ -229,7 +239,7 @@ def _read_trace_in(cfg: SimConfig) -> ReplayPlan:
         i = int(undeployed.argmax())
         ms = called_ms[i] if not 0 <= called_ms[i] < n else called_by[i]
         raise _not_deployed(request_id[i], ms, n)
-    return workload.replay_trace(rows)
+    return rows
 
 
 def _check_deployed(plan: ReplayPlan, n: int) -> None:

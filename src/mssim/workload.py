@@ -20,10 +20,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import RngStream, SimTime
+from .engine import RngStream, SimTime, doubles
 from .errors import ConfigError, MalformedTrace, ValidationError
 from .instance import QueueKind, level_deadlines
-from .metrics import BLOCK, WRITE_ROWS, ColumnView, int_column
+from .metrics import WRITE_ROWS, ColumnView, int_column
 from .model import ClientRequest, Stage
 
 _PROB_TOL = 1e-9
@@ -176,15 +176,15 @@ def _elementwise(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), np.float64, len(x))
 
 
-def _whole_us(x: np.ndarray) -> list[SimTime]:
-    """round_half_up to whole microseconds, floored at 1 us."""
+def _whole_us(x: np.ndarray) -> Sequence[SimTime]:
+    """round_half_up to whole microseconds, floored at 1 us, as an array("q") below 2**62."""
     whole = np.maximum(np.floor(x + 0.5), 1.0)
     if whole.max() < 2.0**62:  # int64 holds these exactly; NaN and inf fail as int() does
-        return whole.astype(np.int64).tolist()
+        return array("q", whole.astype(np.int64).tobytes())
     return list(map(int, whole.tolist()))
 
 
-def interarrival_chunk(model: ArrivalModel, u: np.ndarray) -> list[SimTime]:
+def interarrival_chunk(model: ArrivalModel, u: np.ndarray) -> Sequence[SimTime]:
     """Exponential gaps with the configured mean."""
     return _whole_us(float(-model.mean_interarrival) * _elementwise(math.log1p, -u))
 
@@ -300,7 +300,7 @@ def ndtri(y: np.ndarray) -> np.ndarray:
 _Z_MAX = 8.209536151601387
 
 
-def exec_chunk(model: ExecModel, u: np.ndarray) -> list[SimTime]:
+def exec_chunk(model: ExecModel, u: np.ndarray) -> Sequence[SimTime]:
     """exp(N(mu, sigma)) scaled by unit."""
     scale = 1000.0 if model.unit is ExecUnit.MILLIS else 1.0  # x * 1.0 is x
     if model.sigma == 0:  # also where u == 0, which would give 0 * -inf
@@ -359,7 +359,7 @@ class Samplers:
     """The draws of one sampled run, each kind from its own `RngStream`."""
 
     def __init__(self, wl: WorkloadModel, seed: int, chunk: int = 1024):
-        def stream(name: str, transform: Callable = np.ndarray.tolist) -> Callable:
+        def stream(name: str, transform: Callable = doubles) -> Callable:
             return RngStream(seed, name, chunk, transform).draw
 
         self.model = wl
@@ -473,24 +473,35 @@ def replay_trace(rows: Sequence[TraceRow]) -> ReplayPlan:
     of siblings, ties in row order. Every row is checked here, and the
     first that breaks the forest, in that order, raises MalformedTrace; the
     returned plan builds a request's `Stage`s only when it is admitted.
+
+    The columns are narrowed, then sorted, one at a time, and never
+    changed. Given the only reference to its `TraceColumns`, as the
+    `--trace-in` path gives it, the set-up frees each read column once its
+    narrowed copy replaces it, and never holds the read trace beside the
+    plan; a caller that keeps its columns finds them as they were.
     """
     if not isinstance(rows, TraceColumns):
         rows = TraceColumns.from_rows(rows)
-    request_id, timestamp, called_ms, exetime, hops_done, called_by = rows.arrays()
-    order = _narrow(np.lexsort((timestamp, hops_done, request_id)))  # last key first; stable
-    # each column is narrowed, then sorted, in turn, so that beside the input
-    # and the order the set-up holds at most one sorted int64 column
-    sort = lambda col: _narrow(col)[order]
-    request_id = sort(request_id)
-    first_of_request = np.ones(len(order), bool)
-    first_of_request[1:] = request_id[1:] != request_id[:-1]
-    bounds = _narrow(np.r_[np.flatnonzero(first_of_request), len(order)])
+    # numpy views of the columns, each holding its buffer; with `rows`
+    # dropped, each buffer goes with the last view of it
+    cols = dict(zip(TRACE_HEADER, rows.arrays()))
+    rows = None
+    for name in TRACE_HEADER:
+        cols[name] = _narrow(cols[name])
+    keys = ("timestamp", "hops_done", "request_id")  # last key first; the sort is stable
+    order = _narrow(np.lexsort([cols[name] for name in keys]))
+    sort = lambda name: cols.pop(name)[order]
+    request_id = sort("request_id")
+    # True at each request's first row and past the last row
+    bound = np.ones(len(order) + 1, bool)
+    bound[1:-1] = request_id[1:] != request_id[:-1]
+    bounds = _narrow(np.flatnonzero(bound))
     starts = bounds[:-1]
     request_id = _narrow(request_id[starts])
-    created_at = _narrow(np.minimum.reduceat(sort(timestamp), starts))
-    called_ms = sort(called_ms)
-    back = _parent_distances(request_id, bounds, called_ms, sort(hops_done), sort(called_by))
-    return ReplayPlan(request_id, created_at, bounds, called_ms, sort(exetime), back)
+    created_at = _narrow(np.minimum.reduceat(sort("timestamp"), starts))
+    called_ms = sort("called_ms")
+    back = _parent_distances(request_id, bounds, called_ms, sort("hops_done"), sort("called_by"))
+    return ReplayPlan(request_id, created_at, bounds, called_ms, sort("exetime"), back)
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:
@@ -511,16 +522,18 @@ def _parent_distances(
 ) -> np.ndarray:
     """How many rows back each sorted row's parent is, 0 for a root.
 
-    Requests are checked in order, BLOCK at a time; `bounds` holds each
+    Requests are checked in order, PLAN_BATCH at a time; `bounds` holds each
     one's first row and then the row count. The first row that calls its
     own microservice, or has no unique parent one level up, raises
     MalformedTrace.
     """
     # a type that holds -(row count) holds every distance
     back = np.zeros(len(called_ms), np.min_scalar_type(-len(called_ms)))
-    for b in range(0, len(request_id), BLOCK):
-        lo, hi = bounds[b], bounds[min(b + BLOCK, len(request_id))]
-        heads = zip(request_id[b : b + BLOCK].tolist(), np.diff(bounds[b : b + BLOCK + 1]).tolist())
+    for b in range(0, len(request_id), PLAN_BATCH):
+        lo, hi = bounds[b], bounds[min(b + PLAN_BATCH, len(request_id))]
+        heads = zip(
+            request_id[b : b + PLAN_BATCH].tolist(), np.diff(bounds[b : b + PLAN_BATCH + 1]).tolist()
+        )
         cells = zip(*(col[lo:hi].tolist() for col in (called_ms, hops_done, called_by)))
         distances: list[int] = []
         for rid, size in heads:
@@ -550,10 +563,12 @@ def _parent_distances(
     return back
 
 
-# requests a plan builds at a time: few enough that their trees are still
-# in the CPU caches when they are dispatched and that few garbage
-# collections find them young; on the benchmark's replay trace, building
-# 128 at a time took 30% less time than 2,048 at a time
+# requests a plan builds, and `replay_trace` checks, at a time: few enough
+# that their trees are still in the CPU caches when they are dispatched and
+# that few garbage collections find them young; on the benchmark's replay
+# trace, building 128 at a time took 30% less time than 2,048 at a time. A
+# checked batch's rows are Python lists of 32 B a row, which at 2,048
+# requests outweighed the columns of a trace of a few thousand rows
 PLAN_BATCH = 128
 
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import chain
 from types import FunctionType, ModuleType
@@ -16,6 +17,7 @@ from mssim.errors import MalformedTrace
 from mssim.gateway import LbPolicy
 from mssim.instance import InstanceState, QueueKind, QueuePolicy
 from mssim.metrics import REQUESTS_CSV_HEADER, write_requests_csv
+from mssim.model import Stage
 from mssim.simulation import Simulation, run_simulation
 from mssim.workload import (
     ArrivalModel,
@@ -200,18 +202,87 @@ def test_a_fair_share_run_fires_one_event_per_arrival_completion_and_sample(monk
     assert sum(-(-r.exec // 500) for r in result.stage_records) > 2 * stages  # slices
 
 
+def reachable(root):
+    """Everything `root` reaches, as bench/tracer.py walks it."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
 def test_a_run_lets_go_of_its_replay_plan():
     plan = replay_trace(run_simulation(small_cfg(), collect_trace=True).trace_rows)
     sim = Simulation(small_cfg(end_time=1_000_000), replay=plan)  # half the plan is later
     sim.run()
-    seen, todo = set(), [sim]
-    while todo:  # everything the simulation reaches, as bench/tracer.py walks it
-        obj = todo.pop()
-        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
-            continue
-        seen.add(id(obj))
-        assert obj is not plan
-        todo.extend(gc.get_referents(obj))
+    assert not any(obj is plan for obj in reachable(sim))
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 the caller's stack holds what it passes until the call returns",
+)
+def test_the_replay_set_up_lets_go_of_the_read_trace(tmp_path, monkeypatch):
+    cfg = small_cfg(arrival=ArrivalModel(mean_interarrival=1000))
+    trace = tmp_path / "trace.csv"
+    with open(trace, "w", encoding="utf-8", newline="") as fp:
+        write_trace_csv(run_simulation(cfg, collect_trace=True).trace_rows, fp)
+    read = {}
+    checked_rows = simulation._checked_rows
+
+    def checked_rows_then_reset(cfg):
+        # the heap held once the trace is read; the peak from here on is set-up's
+        rows = checked_rows(cfg)
+        read["rows"] = len(rows)
+        read["bytes"] = sum(col.nbytes for col in rows.arrays())
+        read["held"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return rows
+
+    monkeypatch.setattr(simulation, "_checked_rows", checked_rows_then_reset)
+    cfg = small_cfg(trace_in=str(trace))
+    tracemalloc.start()
+    try:
+        plan = simulation._read_trace_in(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2000 < read["rows"] < 10_000 and len(plan.called_ms) == read["rows"]
+    # each input column is freed once narrowed and its narrowed copy once
+    # sorted; holding the input beside the sorted plan took more than it
+    assert peak - read["held"] < read["bytes"] / 2
+
+
+@pytest.mark.parametrize("replayed", [False, True], ids=["sampled", "replayed"])
+@pytest.mark.parametrize("kind", list(QueueKind), ids=lambda kind: kind.value)
+def test_no_finished_stage_outlives_its_completion(kind, replayed):
+    # about 60% busy, with a sample every 20 ms: most samples find requests
+    # in flight whose first stages have completed
+    cfg = small_cfg(
+        queue_policy=QueuePolicy(kind, quantum=500),
+        arrival=ArrivalModel(mean_interarrival=1000),
+        imbalance_interval=20_000,
+    )
+    plan = replay_trace(run_simulation(cfg, collect_trace=True).trace_rows) if replayed else None
+    sim = Simulation(cfg, replay=plan)
+    plan = None
+    on_sample = sim._on_sample
+    in_flight = []
+
+    def check(sample):
+        dispatched = [
+            obj for obj in reachable(sim) if type(obj) is Stage and obj.arrival is not None
+        ]
+        assert not [stage for stage in dispatched if stage.remaining == 0]
+        in_flight.append(len(dispatched))
+        on_sample(sample)
+
+    sim._on_sample = check
+    sim.run()
+    assert len(in_flight) > 100 and sum(map(bool, in_flight)) > len(in_flight) / 2
 
 
 @pytest.mark.parametrize("kind", [QueueKind.FCFS, QueueKind.FAIR_SHARE])

@@ -81,7 +81,7 @@ def test_whole_us_chunk_matches_scalar_for_huge_gaps(mean):
     """Both conversions to Python ints: int64 below 2**62, int() of each double above."""
     model = ArrivalModel(mean)
     u = [0.0, 1e-300, 2**-53, 0.1, 0.5, 0.86, 0.87, 0.99, 1 - 2**-53]
-    got = interarrival_chunk(model, np.array(u))
+    got = list(interarrival_chunk(model, np.array(u)))
     draw = iter(u).__next__
     want = [scalar.sample_interarrival(model, draw) for _ in u]
     assert got == want and all(type(x) is int for x in got)
@@ -128,11 +128,11 @@ def test_exec_draw_of_zero_is_sampled():
     # failed to round it
     u = np.array([0.0, 0.25, 0.0])
     for unit, scale in ((ExecUnit.MICROS, 1), (ExecUnit.MILLIS, 1000)):
-        assert exec_chunk(ExecModel(math.log(7), 0.0, unit), u) == [7 * scale] * 3
+        assert list(exec_chunk(ExecModel(math.log(7), 0.0, unit), u)) == [7 * scale] * 3
         model = ExecModel(math.log(7), 0.5, unit)
         uniform = iter(u.tolist()).__next__
         assert exec_chunk(model, u)[0] == 1
-        assert exec_chunk(model, u) == [scalar.sample_exec_time(model, uniform) for _ in u]
+        assert list(exec_chunk(model, u)) == [scalar.sample_exec_time(model, uniform) for _ in u]
 
 
 def test_depth_two_point_distribution():
@@ -209,7 +209,8 @@ def test_exec_transform_matches_scalar_sampler_on_edge_uniforms(model):
     assert len(near_half) >= 20
     u = EDGE_UNIFORMS + near_half
     uniform = iter(u).__next__
-    assert exec_chunk(model, np.array(u)) == [scalar.sample_exec_time(model, uniform) for _ in u]
+    want = [scalar.sample_exec_time(model, uniform) for _ in u]
+    assert list(exec_chunk(model, np.array(u))) == want
 
 
 def test_arrival_and_depth_transforms_match_scalar_samplers_on_edge_uniforms():
@@ -221,7 +222,7 @@ def test_arrival_and_depth_transforms_match_scalar_samplers_on_edge_uniforms():
                                     (interarrival_chunk, ArrivalModel(1), scalar.sample_interarrival),
                                     (depth_chunk, depth, scalar.sample_depth)):
         uniform = iter(u).__next__
-        assert chunk_fn(model, np.array(u)) == [sample(model, uniform) for _ in u]
+        assert list(chunk_fn(model, np.array(u))) == [sample(model, uniform) for _ in u]
 
 
 def test_largest_normal_draw_is_the_vector_ndtri_of_the_largest_uniform():
@@ -294,6 +295,21 @@ def test_chunk_size_does_not_change_samples():
     for chunk_fn, model, stream, _ in TRANSFORMS.values():
         assert samples(chunk_fn, model, 8, stream, 2000, chunk=1) == samples(
             chunk_fn, model, 8, stream, 2000, chunk=4096)
+
+
+def test_every_sampler_stream_hands_out_python_numbers():
+    # chunks are buffered as 8-byte arrays; what they hand out is a Python
+    # int or float, never a numpy scalar, within a chunk and past its end
+    s = Samplers(wl(), 8, chunk=16)
+    streams = {
+        "arrival": (s.interarrival, int),
+        "exec": (s.exec_time, int),
+        "depth": (s.depth, int),
+        "routing": (s.routing._uniform, float),
+        "communication": (s.communication._uniform, float),
+    }
+    for name, (draw, want) in streams.items():
+        assert {type(draw()) for _ in range(40)} == {want}, name
 
 
 # --- request building ---------------------------------------------------------
@@ -489,6 +505,18 @@ def test_replay_plan_holds_at_most_12_bytes_per_trace_row():
     assert len(rows) > 3000
     held = sum(sys.getsizeof(getattr(plan, name)) for name in plan.__slots__)
     assert held / len(rows) <= 12
+
+
+def test_replay_leaves_a_callers_columns_as_they_were():
+    # the set-up lets go of the columns it has sorted only where the caller
+    # holds none of them; a caller's own columns keep their rows and widths
+    rows = run_trace(9, 2_000_000)
+    before = [(col.typecode, col.tolist()) for col in rows.columns()]
+    first = replay_trace(rows)
+    assert [(col.typecode, col.tolist()) for col in rows.columns()] == before
+    again = replay_trace(rows)
+    for name in first.__slots__:
+        assert np.array_equal(getattr(first, name), getattr(again, name)), name
 
 
 def test_replay_matches_the_row_oracle_on_a_recorded_trace():
