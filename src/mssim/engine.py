@@ -29,10 +29,11 @@ from array import array
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
+from operator import call as deliver
 from typing import Any, Callable
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random import PCG64, SeedSequence
 
 from .errors import SchedulingInPast
 
@@ -45,14 +46,6 @@ def round_half_up(x: float) -> int:
 
 
 Handler = Callable[[Any], None]
-
-try:
-    from operator import call as deliver  # Python >= 3.11
-except ImportError:  # pragma: no cover
-
-    def deliver(handler: Handler, payload: Any) -> None:
-        """Fire one event: call handler(payload)."""
-        handler(payload)
 
 
 class Engine:
@@ -134,15 +127,22 @@ def doubles(u: np.ndarray) -> array:
     return array("d", u.tobytes())
 
 
+def _unit_doubles(raw: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each raw 64-bit output as a double in [0, 1), exactly."""
+    return (raw >> 11) * 2.0**-53
+
+
 class RngStream:
     """One deterministic stream per `_STREAM_IDS` label and master seed.
 
     Uniforms in [0, 1) are drawn `chunk` at a time and `transform` turns each
     chunk (an array) into a sequence of draws, by default the uniforms
-    themselves in an array("d"). Identical (seed, stream_id, draw index)
-    yields an identical uniform on every platform (PCG64 behind a per-stream
-    SeedSequence spawn key), so with an elementwise transform the draws do
-    not depend on the chunk size.
+    themselves in an array("d"). A uniform is taken from the raw output of
+    PCG64 behind a per-stream SeedSequence spawn key, which numpy keeps fixed
+    across releases (NEP 19), by integer arithmetic and one exact scaling,
+    so identical (seed, stream_id, draw index) yields an identical uniform on
+    every platform and numpy version, and with an elementwise transform the
+    draws do not depend on the chunk size.
     """
 
     def __init__(
@@ -152,10 +152,10 @@ class RngStream:
         chunk: int = 1024,
         transform: Callable[[np.ndarray], Sequence] = doubles,
     ):
-        gen = Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(_STREAM_IDS[stream_id],))))
+        bits = PCG64(SeedSequence(entropy=seed, spawn_key=(_STREAM_IDS[stream_id],)))
         # next() on a chain of sequences is a C call, several times cheaper
         # than a method that indexes a buffer. A typed array holds a draw in
         # 8 B, a list in 32 to 40 B (the pointer and the int or float it
         # points to); both hand out one Python int or float per next()
-        chunks = map(transform, map(gen.random, repeat(chunk)))
+        chunks = map(transform, map(_unit_doubles, map(bits.random_raw, repeat(chunk))))
         self.draw: Callable[[], Any] = chain.from_iterable(chunks).__next__

@@ -10,6 +10,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, BinaryIO, Iterable, Iterator, Optional
 
 import numpy as np
@@ -254,14 +255,16 @@ class RecordColumns(ColumnView):
 def imbalance(per_interval_utils: np.ndarray) -> float:
     """Mean over intervals of the population std of per-instance utilization.
 
-    `per_interval_utils` has shape (instances, intervals).
+    `per_interval_utils` has shape (instances, intervals). The mean is the
+    exactly rounded sum of the stds (`math.fsum`) over the interval count.
     """
     arr = np.asarray(per_interval_utils, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise InvalidMetric("imbalance needs at least 2 instances")
     if arr.shape[1] < 1:
         raise InvalidMetric("imbalance needs at least 1 sampling interval")
-    return float(arr.std(axis=0, ddof=0).mean())
+    stds = arr.std(axis=0, ddof=0)
+    return math.fsum(stds.tolist()) / len(stds)
 
 
 def _ecdf_columns(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -285,40 +288,16 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(np.quantile(np.asarray(values, dtype=float), q, method="inverted_cdf"))
 
 
-def _pairwise_sum(blocks: Iterator[np.ndarray], n: int) -> float:
-    """np.add.reduce of the first n values of `blocks` joined, holding about one block.
-
-    numpy sums by a fixed tree: a range of over 128 values splits after half
-    of it, rounded down to a multiple of 8 (Higham 1993). A node is summed by
-    numpy if within a block, else joined if at most 128, else as its halves.
-    """
-    buf, start = np.empty(0), 0  # the block at hand and the index of its first value
-
-    def node(at: int, size: int) -> float:
-        nonlocal buf, start
-        while at >= start + len(buf):
-            start, buf = start + len(buf), next(blocks)
-        if at + size <= start + len(buf):
-            return np.add.reduce(buf[at - start:at + size - start])
-        if size > 128:
-            half = size // 2 - size // 2 % 8
-            return node(at, half) + node(at + half, size - half)
-        parts = [buf[at - start:]]
-        while at + size > start + len(buf):
-            start, buf = start + len(buf), next(blocks)
-            parts.append(buf[:at + size - start])
-        return np.add.reduce(np.concatenate(parts))
-
-    return float(node(0, n))
-
-
 _BITS = 12  # a selection pass counts a key range in 4,096 bins
 
 
 def _summary(records: RecordColumns) -> Optional[dict]:
-    """np.mean, p50 and p99 (method="inverted_cdf") of the slowdowns, bit for bit; None if none.
+    """Mean, p50 and p99 of the slowdowns; None if none.
 
-    Streamed over the record blocks: the first pass takes `_pairwise_sum`.
+    The mean is the exactly rounded sum (`math.fsum`, Shewchuk 1997) over n,
+    so it depends on neither the block size nor numpy. p50 and p99 equal
+    np.quantile(..., method="inverted_cdf") bit for bit.
+    Streamed over the record blocks: the first pass takes the sum.
     p50 and p99 are selected by radix passes (Munro & Paterson 1980) over the
     int64 views of the doubles, in value order as every slowdown is >= 1:
     a pass counts the range that holds the rank and narrows it to the bin
@@ -350,7 +329,9 @@ def _summary(records: RecordColumns) -> Optional[dict]:
         tallies = {r[:3]: [] if r[2] is None else [0, 1 << 63, 0] for r in pending.values()}
         blocks = scan(tallies)
         if mean is None:
-            mean = _pairwise_sum(blocks, n) / n
+            # a memoryview hands out one Python float at a time, so the pass
+            # holds no list of a block's floats
+            mean = math.fsum(chain.from_iterable(map(memoryview, blocks))) / n
         for _ in blocks:
             pass
         for q, (lo, hi, shift, rank) in list(pending.items()):
@@ -457,12 +438,18 @@ class MetricsCollector:
         return deltas[:, keep] / lengths[keep]
 
     def utilization_by_ms(self) -> dict[MicroserviceId, float]:
-        """Mean over sampling windows of each microservice's utilization."""
+        """Mean over sampling windows of each microservice's utilization.
+
+        The summed utilization of its instances per window is averaged as
+        the exactly rounded sum (`math.fsum`) over the window count, then
+        divided by the instance count.
+        """
         utils = self._window_utils(self.util_snapshots)
-        if utils.shape[1] == 0:
+        windows = utils.shape[1]
+        if windows == 0:
             return {}
         return {
-            ms: float(utils[rows].sum(axis=0).mean() / len(rows))
+            ms: math.fsum(utils[rows].sum(axis=0).tolist()) / windows / len(rows)
             for ms, rows in self._rows_by_ms.items()
         }
 

@@ -2,8 +2,8 @@
 
 The closed-form M/G/1 mean wait (Pollaczek-Khinchine), a brute-force
 single-instance scheduler that time-steps at 1 us resolution, the
-Kolmogorov distance between two samples, and a structural check of a call
-tree. Nothing here imports `mssim`; `test_oracle.py` enforces that. Queue
+Kolmogorov distance between two samples, the exactly rounded mean, and a
+structural check of a call tree. Nothing here imports `mssim`; `test_oracle.py` enforces that. Queue
 kinds are the plain strings of the config file, and call trees are read
 only through their attributes.
 """
@@ -11,6 +11,7 @@ only through their attributes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -143,6 +144,11 @@ def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
     fa = np.searchsorted(a, xs, side="right") / a.size
     fb = np.searchsorted(b, xs, side="right") / b.size
     return float(np.abs(fa - fb).max())
+
+
+def exact_mean(values: Sequence[float]) -> float:
+    """The exact sum of `values` rounded once to a double, over their count."""
+    return float(sum(map(Fraction, values))) / len(values)
 
 
 def validate_tree(req: Any) -> None:

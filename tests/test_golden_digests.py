@@ -8,6 +8,8 @@ The digests of the `exds-lc` trace replayed through `--trace-in` were
 computed at the commit before the columnar trace reader and replay.
 The `fair_share-greedy` digests were remade when the same-instant order
 of quantum boundaries and completions was declared (`mssim.engine`).
+Every `report.json` digest was remade when the report's means became
+exactly rounded sums over their count (`math.fsum`, `mssim.metrics`).
 Remake them only for a declared output change.
 
 The configs are the desk-scale experiment workload of
@@ -40,7 +42,7 @@ CASES = {
     "fcfs-rr": (
         {"queue_policy": "fcfs", "lb_policy": "round_robin"},
         {
-            "report.json": "1f5c81a557782ac7d4176b523a79abf46bf1eee6a145cd6ffeec1e64ac9f926d",
+            "report.json": "eb6a95547fcf111af484612675fd9c0438b41d003bddc716190de71b37aa0fea",
             "requests.csv": "d8c96899589da02577fc38913efd3cd863e6c2661da8b3258e16eb18167190d7",
             "trace.csv": "806b948c26a0370394364d8b1bbca47b22cfad3531fbcedfd6e2fdea64dde6bf",
         },
@@ -48,7 +50,7 @@ CASES = {
     "fair_share-greedy": (
         {"queue_policy": {"kind": "fair_share", "quantum": 500}, "lb_policy": "greedy"},
         {
-            "report.json": "366c95957fef917e374c76307d0e8925b2a475c4cdf98fe2707934a393e6b7de",
+            "report.json": "fe8d6166624a77329d015574538e0d377c225c6dc5439b29cd5a37577858cd93",
             "requests.csv": "0224cc0c0806e01a6ce0368c7d5870d698249cfff268d3afd84324367592a627",
             "trace.csv": "57bae5b42a907d7ab2181fdb8820160c70fdbcf753a151eb9d1e45749eabf92d",
         },
@@ -56,7 +58,7 @@ CASES = {
     "exds-lc": (
         {"queue_policy": "exds", "lb_policy": "least_connection"},
         {
-            "report.json": "3b66b37b50da3fe29989b070ce9d086efb498170f87ef3c3c447cdd7b8084e72",
+            "report.json": "a9051732aa1cbd0b5d0c09e2443cf847d4dc105f647af9a19b4bee3f0cca76e9",
             "requests.csv": "4d7dcb31cb698bcb6e2f51f7d748362c46bcf7bd2b223b9834082b4d8ecb51cf",
             "trace.csv": "12341343b6c0f276ce7b4a1854af6b6351a9f3ad334aee8dcf03880746083ed9",
         },
@@ -66,7 +68,7 @@ CASES = {
 
 # the artifacts of replaying the exds-lc case's trace.csv under the same config
 REPLAYED_EXDS_LC = {
-    "report.json": "3b66b37b50da3fe29989b070ce9d086efb498170f87ef3c3c447cdd7b8084e72",
+    "report.json": "a9051732aa1cbd0b5d0c09e2443cf847d4dc105f647af9a19b4bee3f0cca76e9",
     "requests.csv": "4d7dcb31cb698bcb6e2f51f7d748362c46bcf7bd2b223b9834082b4d8ecb51cf",
     "trace.csv": "12341343b6c0f276ce7b4a1854af6b6351a9f3ad334aee8dcf03880746083ed9",
 }

@@ -3,6 +3,7 @@ import io
 import math
 import operator
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mssim.metrics import (
     write_requests_csv,
 )
 from mssim.model import InstanceId
-from oracles import ks_distance
+from oracles import exact_mean, ks_distance
 
 
 def test_slowdown_arithmetic():
@@ -147,6 +148,32 @@ def test_collector_window_utilization_and_report():
     assert report.client_slowdown["mean"] == pytest.approx(1.5)
 
 
+def test_window_means_are_exactly_rounded_sums_over_the_window_count():
+    # 12 windows of random lengths and busy times over two microservices of
+    # 3 and 2 instances; numpy's mean of each window series (ndarray.mean)
+    # differs from the exact one here in its last bits
+    rng = np.random.default_rng(6)
+    col = MetricsCollector([InstanceId(0, 0), InstanceId(0, 1), InstanceId(0, 2),
+                            InstanceId(1, 0), InstanceId(1, 1)])
+    at, busy, utils = 0, [0] * 5, []
+    for _ in range(12):
+        length = int(rng.integers(1, 10**6))
+        at += length
+        new = [b + int(rng.integers(0, length + 1)) for b in busy]
+        utils.append([(n - b) / length for n, b in zip(new, busy)])
+        busy = new
+        col.snapshot("util", at, busy)
+        col.snapshot("imbalance", at, busy)
+    util, imb = {}, {}
+    for ms, rows in ((0, [0, 1, 2]), (1, [3, 4])):
+        # each window's instances summed in instance order, one rounding per addition
+        sums = [reduce(operator.add, (window[row] for row in rows)) for window in utils]
+        util[ms] = exact_mean(sums) / len(rows)
+        imb[ms] = exact_mean(np.array(utils)[:, rows].T.std(axis=0).tolist())
+    assert col.utilization_by_ms() == util
+    assert col.imbalance_by_ms() == imb
+
+
 def test_report_serialization_is_deterministic():
     ids = [InstanceId(0, 0)]
 
@@ -220,7 +247,7 @@ def test_report_slowdowns_are_those_of_python_int_division(seed):
     for records, got in zip(scopes, (report.client_slowdown, report.stage_slowdown)):
         vals = [(c - a) / e for _, a, c, e in zip(*records.columns())]
         assert got == {
-            "mean": float(np.mean(np.array(vals))),  # before any partition
+            "mean": exact_mean(vals),
             "p50": percentile(vals, 0.50),
             "p99": percentile(vals, 0.99),
         }

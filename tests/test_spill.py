@@ -157,7 +157,7 @@ def test_spilled_run_past_2_31_us_gives_the_pinned_digests(tmp_path, monkeypatch
     assert cli_main(argv) == 0
     assert widths == {"iiii", "iqqi", "iiiiii", "iqiiii"}
     assert {k: hashlib.sha256(v).hexdigest() for k, v in cli_artifacts(out).items()} == {
-        "report.json": "b8ed96fc697171c4a326d08e411b8c3d2e13aeccf4ecb2fbcad1ec25e321efe5",
+        "report.json": "a4629fe9b49794dedf9c8d0db6ef540edf9cff2fdbfd0ced99d14ac0dfd5bed5",
         "requests.csv": "1b336b6f11d5a0a37d5de43715fbc752c31f5031b210a320a9e43b69c9011d85",
         "trace.csv": "2bfb31b7fc29e357cb215d6ae845438081adea9be7d08ab81a72a1a22064cb00",
     }

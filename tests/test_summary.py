@@ -1,9 +1,10 @@
 """The report's slowdown summary is streamed over the record blocks.
 
-mean, p50 and p99 must equal, bit for bit, what np.mean and
-np.quantile(..., method="inverted_cdf") give on the whole slowdown column,
-for views in memory and spilled a block at a time, and the summary of a
-spilled view must hold a heap that does not grow with its records.
+mean, p50 and p99 must equal, bit for bit, the exactly rounded sum over n
+(taken with `fractions.Fraction`) and np.quantile(...,
+method="inverted_cdf") on the whole slowdown column, for views in memory
+and spilled a block at a time, and the summary of a spilled view must hold
+a heap that does not grow with its records.
 """
 
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from mssim import metrics
 from mssim.metrics import MetricsCollector
 from mssim.model import InstanceId
+from oracles import exact_mean
 
 
 def collector(rows, spill=None):
@@ -31,11 +33,11 @@ def summary(col):
     return col.finalize_report(0, 0, 1, "round_robin", "fcfs").client_slowdown
 
 
-def numpy_summary(rows):
-    """The summary numpy gives on the column of slowdowns, taken by Python's int / int."""
+def oracle_summary(rows):
+    """The exact mean and numpy's quantiles of the slowdowns, taken by Python's int / int."""
     vals = np.array([(c - a) / e for a, c, e in rows])
     p50, p99 = np.quantile(vals, (0.50, 0.99), method="inverted_cdf").tolist()
-    return {"mean": float(np.mean(vals)), "p50": p50, "p99": p99}
+    return {"mean": exact_mean(vals.tolist()), "p50": p50, "p99": p99}
 
 
 def draw_rows(n, seed, ties, start):
@@ -49,7 +51,7 @@ def draw_rows(n, seed, ties, start):
 
 @st.composite
 def lengths(draw, block):
-    """Lengths at the edges of numpy's pairwise-sum leaves and of a block, or of several blocks."""
+    """Short lengths, lengths at the edges of 128 values and of a block, or several blocks."""
     return draw(st.one_of(
         st.integers(1, 8),
         st.sampled_from([127, 128, 129, block - 1, block, block + 1]),
@@ -66,14 +68,14 @@ def lengths(draw, block):
     ties=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
     start=st.sampled_from([0, 2**31, 2**53]),  # 2**53: totals taken by _derived's exact slow path
 )
-def test_streamed_summary_equals_numpy_bit_for_bit(data, block, spilled, seed, ties, start):
+def test_streamed_summary_equals_the_exact_oracle_bit_for_bit(data, block, spilled, seed, ties, start):
     n = data.draw(lengths(block if spilled else metrics.BLOCK), label="n")
     rows = draw_rows(n, seed, ties, start)
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryFile() as spill:
         mp.setattr(metrics, "BLOCK", block)
         col = collector(rows, spill if spilled else None)
         assert len(col.client_records._flushed) == (n // block if spilled else 0)
-        assert summary(col) == numpy_summary(rows)
+        assert summary(col) == oracle_summary(rows)
 
 
 @pytest.mark.parametrize("spilled", [False, True])
@@ -83,7 +85,7 @@ def test_a_column_of_ones_sums_to_n_and_has_its_quantiles_at_one(n, spilled):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryFile() as spill:
         mp.setattr(metrics, "BLOCK", 64)
         got = summary(collector(rows, spill if spilled else None))
-    assert got == numpy_summary(rows) == {"mean": 1.0, "p50": 1.0, "p99": 1.0}
+    assert got == oracle_summary(rows) == {"mean": 1.0, "p50": 1.0, "p99": 1.0}
 
 
 @example(n=4_000, ones=2_000)  # p50 is the last of the 1.0s
@@ -97,7 +99,7 @@ def test_quantiles_on_a_tie_take_the_tied_value(n, ones):
     rows += [(0, 7 + i, 3) for i in range(n - len(rows))]
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryFile() as spill:
         mp.setattr(metrics, "BLOCK", 256)
-        assert summary(collector(rows[::-1], spill)) == numpy_summary(rows[::-1])
+        assert summary(collector(rows[::-1], spill)) == oracle_summary(rows[::-1])
 
 
 def test_a_spilled_summary_holds_a_heap_that_does_not_grow_with_the_records():
@@ -105,7 +107,7 @@ def test_a_spilled_summary_holds_a_heap_that_does_not_grow_with_the_records():
     # is taken without collecting them; the float64 column alone is 0.96 MB
     n = 120_000
     rows = draw_rows(n, seed=7, ties=0.6, start=0)
-    want = numpy_summary(rows)
+    want = oracle_summary(rows)
     with tempfile.TemporaryFile() as spill:
         col = collector(rows, spill)
         tracemalloc.start()
