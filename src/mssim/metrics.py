@@ -81,10 +81,10 @@ class ColumnView(Sequence):
     columns in `_fields` and build one row from one Python int per column
     in `_row`. Views compare equal to any sequence of equal rows.
 
-    Given a file by `spill`, a view writes its rows there as they become
-    final, about BLOCK at a time, each column of a block at its width then,
-    and keeps only the rest in its columns. Reading covers the flushed
-    blocks and then the rows in memory.
+    Given a file by `spill`, a view writes its rows there in the order
+    they were appended, BLOCK at a time, each column of a block at its
+    width then, and keeps only the rest in its columns. Reading covers the
+    flushed blocks and then the rows in memory.
     """
 
     __slots__ = ("_spill", "_flushed", "_flush_at")
@@ -98,7 +98,7 @@ class ColumnView(Sequence):
         self._flush_at = sys.maxsize  # rows in memory at which an append flushes
 
     def spill(self, file: BinaryIO) -> None:
-        """Flush final rows to `file`, an open binary file that other views may share."""
+        """Flush rows to `file` as they are appended; other views may share the open file."""
         self._spill = file
         self._flush_at = BLOCK
 
@@ -131,21 +131,14 @@ class ColumnView(Sequence):
             del col[n:]
         self.extend([int_column((v,)) for v in values])
 
-    def _flush(self, rows: int, order: Any = slice(None)) -> None:
-        """Write the first `rows` rows in memory to the spill file as one block, then drop them.
-
-        `order` indexes the rows into the order they are written in.
-        """
+    def _flush(self) -> None:
+        """Write the rows in memory to the spill file as one block, then drop them."""
         cols = self.columns()
-        if rows:
-            data = b"".join(np.frombuffer(col, col.typecode, rows)[order].tobytes() for col in cols)
-            offset = self._spill.seek(0, io.SEEK_END)
-            self._spill.write(data)
-            self._flushed.append((offset, rows, "".join(col.typecode for col in cols)))
-            for col in cols:
-                del col[:rows]
-        # rows that are not final yet wait for another BLOCK
-        self._flush_at = len(cols[0]) + BLOCK
+        offset = self._spill.seek(0, io.SEEK_END)
+        self._spill.write(b"".join(cols))
+        self._flushed.append((offset, len(cols[0]), "".join(col.typecode for col in cols)))
+        for col in cols:
+            del col[:]
 
     def _read(self, offset: int, rows: int, typecodes: str) -> list[np.ndarray]:
         """The columns of a flushed block, read back from the spill file."""
@@ -237,7 +230,7 @@ class RecordColumns(ColumnView):
                     f"{exec_time}) us does not fit int64"
                 ) from None
         if len(self.exec) >= self._flush_at:
-            self._flush(len(self.exec))
+            self._flush()
 
     def _row(self, request_id: int, created_at: int, completed_at: int, exec_time: int) -> RequestRecord:
         return RequestRecord(request_id, self.scope, created_at, completed_at, exec_time)

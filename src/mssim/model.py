@@ -63,7 +63,6 @@ class ClientRequest:
 
     request_id: int
     created_at: SimTime
-    max_depth: int
     root_stages: Sequence[Stage] = field(default_factory=list)
     # stage_count and critical_path_exec, counted by build_client_request and
     # ReplayPlan while they build the tree

@@ -45,7 +45,7 @@ class SimResult:
     report: SimReport
     client_records: RecordColumns
     stage_records: RecordColumns
-    trace_rows: TraceColumns  # the run's own columns, sorted by (timestamp, request_id, hops_done)
+    trace_rows: TraceColumns  # the run's own columns, one row per stage in dispatch order
 
 
 class Simulation:
@@ -180,7 +180,6 @@ class Simulation:
         drain_until = cfg.end_time
         if cfg.drain:
             drain_until = max(cfg.end_time, self.engine.drain(deliver))
-        self.trace.sort()
         report = self.collector.finalize_report(
             end_time=cfg.end_time,
             drain_until=drain_until,

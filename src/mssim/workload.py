@@ -10,7 +10,7 @@ import csv
 import io
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import astuple, dataclass
 from enum import Enum
@@ -410,7 +410,6 @@ def build_client_request(request_id: int, now: SimTime, samplers: Samplers) -> C
     return ClientRequest(
         request_id=request_id,
         created_at=now,
-        max_depth=depth,
         root_stages=root_stages,
         stages=stages,
         crit_exec=crit_exec,
@@ -655,18 +654,15 @@ class ReplayPlan:
                 deadlines = level_deadlines(created_at, sla, longest, kind)
                 for stage in built[first:]:
                     stage.deadline = deadlines[stage.depth]
-            # the last row is at the deepest level
-            requests.append(ClientRequest(rid, created_at, depth, roots, size, crit_exec))
+            requests.append(ClientRequest(rid, created_at, roots, size, crit_exec))
         return requests
 
 
 class TraceColumns(ColumnView):
     """Trace rows as six columns, as wide as their values; `called_by` is -1 where it is None.
 
-    A view that spills must be given its rows in non-decreasing timestamp
-    order, as a run dispatches them. Its flushed blocks are then the sorted
-    trace's first rows: a flush writes every row but those at the last
-    timestamp, which a later row may still sort before, in `_order`.
+    A run appends a row as it dispatches a stage, and its rows stay in that
+    order, flushed or not.
     """
 
     __slots__ = _fields = tuple(TRACE_HEADER)
@@ -699,27 +695,11 @@ class TraceColumns(ColumnView):
         except OverflowError:
             self._append_wide((request_id, timestamp, called_ms, exetime, hops_done, called_by))
         if len(self.called_by) >= self._flush_at:
-            rows = bisect_left(self.timestamp, timestamp)
-            self._flush(rows, self._order(rows))
+            self._flush()
 
     def _row(self, *values: int) -> TraceRow:
         *head, called_by = values
         return TraceRow(*head, None if called_by < 0 else called_by)
-
-    def _order(self, rows: int) -> np.ndarray:
-        """The first `rows` rows in memory by (timestamp, request_id, hops_done), ties as appended."""
-        request_id, timestamp, _, _, hops_done, _ = (col[:rows] for col in self.arrays())
-        return np.lexsort((hops_done, request_id, timestamp))  # last key first; stable
-
-    def sort(self) -> None:
-        """Sort the rows in memory in place, by `_order`; flushed blocks are sorted already.
-
-        Each column is permuted through its numpy view in turn, so beside
-        the rows the sort holds the order and one permuted column.
-        """
-        order = self._order(len(self.called_by))
-        for col in self.arrays():
-            col[:] = col[order]
 
 
 def write_trace_csv(rows: Sequence[TraceRow], fp: io.TextIOBase) -> None:

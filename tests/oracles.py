@@ -154,7 +154,7 @@ def exact_mean(values: Sequence[float]) -> float:
 def validate_tree(req: Any) -> None:
     """Reject call trees violating the depth / self-call / caller invariants.
 
-    Reads `request_id`, `max_depth` and `root_stages` of the request, and
+    Reads `request_id` and `root_stages` of the request, and
     `target`, `exec_time`, `depth`, `called_by` and `children` of each stage.
     """
     if not req.root_stages:
@@ -182,8 +182,4 @@ def validate_tree(req: Any) -> None:
                 raise ValueError(
                     f"request {req.request_id}: microservice {st.target} calls itself"
                 )
-        if st.depth > req.max_depth:
-            raise ValueError(
-                f"request {req.request_id}: depth {st.depth} exceeds max_depth {req.max_depth}"
-            )
         stack.extend((child, st) for child in reversed(st.children))

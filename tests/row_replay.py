@@ -80,7 +80,6 @@ def replay_trace(rows: Sequence[TraceRow]) -> list[ClientRequest]:
             ClientRequest(
                 request_id=request_id,
                 created_at=min(r.timestamp for r in req_rows),
-                max_depth=max(r.hops_done for r in req_rows),
                 root_stages=roots,
                 stages=len(req_rows),
                 crit_exec=max(path_exec.values()),

@@ -171,7 +171,6 @@ def build_client_request(
     return ClientRequest(
         request_id=request_id,
         created_at=now,
-        max_depth=depth,
         root_stages=root_stages,
         stages=stages,
         crit_exec=crit_exec,

@@ -241,9 +241,7 @@ def chain_request(created_at, execs):
         ))
     for parent, child in zip(nodes, nodes[1:]):
         parent.children = [child]
-    return ClientRequest(
-        request_id=1, created_at=created_at, max_depth=len(execs) - 1, root_stages=[nodes[0]],
-    )
+    return ClientRequest(request_id=1, created_at=created_at, root_stages=[nodes[0]])
 
 
 def test_criterion_4_equal_slack_deadlines():

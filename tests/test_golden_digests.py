@@ -10,6 +10,9 @@ The `fair_share-greedy` digests were remade when the same-instant order
 of quantum boundaries and completions was declared (`mssim.engine`).
 Every `report.json` digest was remade when the report's means became
 exactly rounded sums over their count (`math.fsum`, `mssim.metrics`).
+The `exds-lc` trace digests were remade when the trace was written in
+dispatch order instead of sorted by (timestamp, request_id, hops_done);
+the other two traces were in that order already.
 Remake them only for a declared output change.
 
 The configs are the desk-scale experiment workload of
@@ -60,7 +63,7 @@ CASES = {
         {
             "report.json": "a9051732aa1cbd0b5d0c09e2443cf847d4dc105f647af9a19b4bee3f0cca76e9",
             "requests.csv": "4d7dcb31cb698bcb6e2f51f7d748362c46bcf7bd2b223b9834082b4d8ecb51cf",
-            "trace.csv": "12341343b6c0f276ce7b4a1854af6b6351a9f3ad334aee8dcf03880746083ed9",
+            "trace.csv": "f93cd8ca2fd25252b38ccf3778eb30d0ccd79da098c04133df62588a584db981",
         },
     ),
 }
@@ -70,7 +73,7 @@ CASES = {
 REPLAYED_EXDS_LC = {
     "report.json": "a9051732aa1cbd0b5d0c09e2443cf847d4dc105f647af9a19b4bee3f0cca76e9",
     "requests.csv": "4d7dcb31cb698bcb6e2f51f7d748362c46bcf7bd2b223b9834082b4d8ecb51cf",
-    "trace.csv": "12341343b6c0f276ce7b4a1854af6b6351a9f3ad334aee8dcf03880746083ed9",
+    "trace.csv": "f93cd8ca2fd25252b38ccf3778eb30d0ccd79da098c04133df62588a584db981",
 }
 
 

@@ -320,9 +320,7 @@ def chain_request(execs, created_at=0):
         )
         node.children = [child]
         node = child
-    return ClientRequest(
-        request_id=0, created_at=created_at, max_depth=len(execs) - 1, root_stages=[root],
-    )
+    return ClientRequest(request_id=0, created_at=created_at, root_stages=[root])
 
 
 def deadlines(req):

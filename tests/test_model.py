@@ -24,9 +24,7 @@ def chain(execs, targets=None):
         child = stage(targets[d], execs[d], d, called_by=targets[d - 1])
         node.children = [child]
         node = child
-    return ClientRequest(
-        request_id=0, created_at=0, max_depth=len(execs) - 1, root_stages=[root]
-    )
+    return ClientRequest(request_id=0, created_at=0, root_stages=[root])
 
 
 def test_depth_zero_single_stage():
@@ -47,7 +45,7 @@ def test_depth_of_branching_tree():
     g = stage(0, 100, 2, called_by=1)
     c1.children = [g]
     root.children = [c1, c2]
-    req = ClientRequest(request_id=0, created_at=0, max_depth=2, root_stages=[root])
+    req = ClientRequest(request_id=0, created_at=0, root_stages=[root])
     assert deepest(req) == 2
 
 
@@ -61,7 +59,7 @@ def test_critical_path_chain_sums():
 
 def test_critical_path_parallel_roots_takes_max():
     roots = [stage(0, 1000, 0), stage(1, 3000, 0)]
-    req = ClientRequest(request_id=0, created_at=0, max_depth=0, root_stages=roots)
+    req = ClientRequest(request_id=0, created_at=0, root_stages=roots)
     assert critical_path_exec(req) == 3000
 
 

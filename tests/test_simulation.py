@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import io
+import json
 import math
 import sys
 import tracemalloc
@@ -11,8 +12,9 @@ from types import FunctionType, ModuleType
 
 import pytest
 
-from mssim import simulation
-from mssim.config import SimConfig
+from mssim import metrics, simulation
+from mssim.cli import cli_main
+from mssim.config import SimConfig, config_from_dict
 from mssim.errors import MalformedTrace
 from mssim.gateway import LbPolicy
 from mssim.instance import InstanceState, QueueKind, QueuePolicy
@@ -26,11 +28,14 @@ from mssim.workload import (
     ExecModel,
     ExecUnit,
     RoutingModel,
+    TraceColumns,
     TraceRow,
     read_trace_csv,
     replay_trace,
     write_trace_csv,
 )
+
+from test_spill import SMALL, write_grid_trace
 
 
 def small_cfg(**overrides) -> SimConfig:
@@ -385,22 +390,36 @@ def test_stage_count_is_at_least_client_count():
     assert result.report.stage_requests >= result.report.client_requests
 
 
-def test_trace_order_keeps_sibling_ties_as_a_stable_sort():
-    # fan-out 2 at depth 0: both roots of a request are dispatched at the same
-    # time with the same request_id and hops_done, in the order they were drawn
-    cfg = small_cfg(
-        microservices=(1, 1, 1),
-        routing=RoutingModel(call_probabilities=(0.4, 0.3, 0.3), fanout=2),
-        communication=CommunicationModel(comm_probabilities=(0.4, 0.3, 0.3)),
-    )
-    sim = Simulation(cfg, collect_trace=True)
-    result = sim.run()
-    dispatched = list(sim.trace)
-    key = lambda r: (r.timestamp, r.request_id, r.hops_done)
-    assert list(result.trace_rows) == sorted(dispatched, key=key)
-    ties = [(a, b) for a, b in zip(result.trace_rows, result.trace_rows[1:]) if key(a) == key(b)]
-    assert any(a.called_ms > b.called_ms for a, b in ties)  # not in called_ms order
-    assert any(a.called_ms < b.called_ms for a, b in ties)
+def test_trace_rows_are_in_dispatch_order(tmp_path, monkeypatch):
+    # the grid trace dispatches stages of several requests and depths at one
+    # instant, so dispatch order is not (timestamp, request_id, hops_done) order
+    doc = dict(SMALL, trace_in=str(write_grid_trace(tmp_path / "grid.csv")))
+    plan = simulation._read_trace_in(config_from_dict(doc))  # before recording: reading may append
+    dispatched = []
+    append = TraceColumns.append
+
+    def recorded(self, *row):
+        dispatched.append(TraceRow(*row))
+        append(self, *row)
+
+    monkeypatch.setattr(TraceColumns, "append", recorded)
+    rows = run_simulation(config_from_dict(doc), replay=plan, collect_trace=True).trace_rows
+    assert len(dispatched) == 1200 and rows == dispatched
+    assert dispatched != sorted(dispatched, key=lambda r: (r.timestamp, r.request_id, r.hops_done))
+    # the command line spills the rows in blocks of 3 and writes them as dispatched
+    library = dispatched.copy()
+    dispatched.clear()
+    monkeypatch.setattr(metrics, "BLOCK", 3)
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["--config", str(config), "--out", str(out),
+                     "--trace-out", str(out / "trace.csv")]) == 0
+    monkeypatch.undo()
+    assert dispatched == library
+    buf = io.StringIO()
+    write_trace_csv(dispatched, buf)
+    assert (out / "trace.csv").read_text(encoding="utf-8") == buf.getvalue()
 
 
 def test_record_columns_hold_at_most_40_bytes_per_record():

@@ -75,9 +75,9 @@ def flushes(monkeypatch):
     counts = {}
     flush = ColumnView._flush
 
-    def counted(self, rows, *order):
-        counts[type(self).__name__] = counts.get(type(self).__name__, 0) + (rows > 0)
-        flush(self, rows, *order)
+    def counted(self):
+        counts[type(self).__name__] = counts.get(type(self).__name__, 0) + 1
+        flush(self)
 
     monkeypatch.setattr(ColumnView, "_flush", counted)
     return counts
@@ -107,16 +107,23 @@ def test_spilled_cli_artifacts_equal_the_library_path(tmp_path, flushes, policie
     assert flushes["RecordColumns"] > 100 and flushes["TraceColumns"] > 50
 
 
-def test_spilled_trace_sorts_the_rows_of_one_instant(tmp_path, flushes):
-    # every exec is 1 ms and four requests arrive on each ms of a grid, so
-    # many stages of many requests are dispatched at each instant, not in
-    # (request_id, hops_done) order; a flush must hold such rows back
-    trace = tmp_path / "grid.csv"
+def write_grid_trace(path):
+    """A trace of 400 requests in which many stages are dispatched at each instant.
+
+    Every exec is 1 ms and four requests arrive on each ms of a grid, so
+    stages of several requests and depths are dispatched at one timestamp,
+    not in (request_id, hops_done) order.
+    """
     lines = ["request_id,timestamp,called_ms,exetime,hops_done,called_by"]
     for r in range(400):
         t, a, b = r // 4 * 1000, r % 2, 1 - r % 2
         lines += [f"{r},{t},{a},1000,0,", f"{r},{t},{b},1000,1,{a}", f"{r},{t},{a},1000,2,{b}"]
-    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_spilled_trace_of_many_rows_per_instant_equals_the_library_path(tmp_path, flushes):
+    trace = write_grid_trace(tmp_path / "grid.csv")
     doc = dict(SMALL, trace_in=str(trace))
     out = tmp_path / "out"
     argv = ["--config", write_config(tmp_path, doc), "--out", str(out),
@@ -126,6 +133,34 @@ def test_spilled_trace_sorts_the_rows_of_one_instant(tmp_path, flushes):
     del want["ecdf_slowdown.csv"]
     assert cli_artifacts(out) == want
     assert flushes["TraceColumns"] > 50
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_trace_sorted_as_earlier_versions_wrote_it_replays_alike(tmp_path, seed):
+    # earlier versions wrote the trace sorted by (timestamp, request_id,
+    # hops_done), ties in dispatch order; both orders replay to the artifacts
+    # of the run that wrote the trace. With every exec 1 ms, stages of several
+    # requests are often dispatched at one instant, where the orders differ
+    ran = tmp_path / "ran"
+    doc = dict(SMALL, seed=seed, **CASES["exds-lc-fanout"], arrival={"mean_interarrival": 1000},
+               exec={"mu": math.log(1000), "sigma": 0, "unit": "us"})
+    config = write_config(tmp_path, doc)
+    argv = ["--config", config, "--out", str(ran), "--trace-out", str(ran / "trace.csv")]
+    assert cli_main(argv) == 0
+    header, *rows = (ran / "trace.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def key(line):
+        request_id, timestamp, _, _, hops_done, _ = line.split(",")
+        return int(timestamp), int(request_id), int(hops_done)
+
+    earlier = sorted(rows, key=key)
+    assert earlier != rows
+    (tmp_path / "sorted.csv").write_text(header + "".join(earlier), encoding="utf-8")
+    for i, trace in enumerate([ran / "trace.csv", tmp_path / "sorted.csv"]):
+        out = tmp_path / f"replay{i}"
+        assert cli_main(["--config", config, "--out", str(out), "--trace-in", str(trace),
+                         "--trace-out", str(out / "trace.csv")]) == 0
+        assert cli_artifacts(out) == cli_artifacts(ran)
 
 
 def test_spilled_run_past_2_31_us_gives_the_pinned_digests(tmp_path, monkeypatch):
@@ -146,9 +181,9 @@ def test_spilled_run_past_2_31_us_gives_the_pinned_digests(tmp_path, monkeypatch
     widths = set()
     flush = ColumnView._flush
 
-    def noted(self, rows, *order):
+    def noted(self):
         widths.add("".join(col.typecode for col in self.columns()))
-        flush(self, rows, *order)
+        flush(self)
 
     monkeypatch.setattr(ColumnView, "_flush", noted)
     out = tmp_path / "out"

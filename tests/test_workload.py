@@ -1,6 +1,5 @@
 import io
 import math
-import operator
 import os
 import subprocess
 import sys
@@ -239,12 +238,16 @@ def test_picker_matches_scalar_distinct_draws():
         assert picker.distinct(k, exclude) == scalar._sample_distinct(weights, k, uniform, exclude)
 
 
+def deepest(req):
+    return max(node.depth for node in iter_nodes(req))
+
+
 def tree(req):
     """A client request as nested tuples, stage fields included."""
     def node(st):
         return (st.request_id, st.target, st.exec_time, st.depth, st.called_by,
                 tuple(node(c) for c in st.children))
-    return (req.request_id, req.created_at, req.max_depth, req.stages,
+    return (req.request_id, req.created_at, deepest(req), req.stages,
             req.crit_exec, tuple(node(r) for r in req.root_stages))
 
 
@@ -373,7 +376,8 @@ def test_sampled_trees_always_validate(seed):
     for rid in range(10):
         req = build_client_request(rid, rid * 7, samplers)
         validate_tree(req)
-        assert max(node.depth for node in iter_nodes(req)) == req.max_depth
+        # every path reaches the sampled depth
+        assert {node.depth for node in iter_nodes(req) if not node.children} == {deepest(req)}
 
 
 # --- trace replay and CSV I/O ------------------------------------------------
@@ -402,7 +406,7 @@ def replay_shape(requests):
     def stage(s):
         return (s.request_id, s.target, s.exec_time, s.depth, s.called_by, [*map(stage, s.children)])
     return [
-        (r.request_id, r.created_at, r.max_depth, r.stages, r.crit_exec,
+        (r.request_id, r.created_at, deepest(r), r.stages, r.crit_exec,
          [*map(stage, r.root_stages)])
         for r in requests
     ]
@@ -585,33 +589,6 @@ def test_replay_ambiguous_parent_rejected():
         replay_trace(rows)
 
 
-def test_trace_sorts_in_place_stably_with_little_memory():
-    # 40k shuffled rows over few (timestamp, request_id, hops_done) keys, so
-    # most rows tie; exetime numbers the rows in insertion order
-    rng = np.random.default_rng(3)
-    n = 40_000
-    keys = rng.integers(0, 20, size=(n, 3)).tolist()
-    rows = [
-        (rid, ts, i % 7, i + 1, hops, None if hops == 0 else i % 5)
-        for i, (ts, rid, hops) in enumerate(keys)
-    ]
-    cols = TraceColumns()
-    for row in rows:
-        cols.append(*row)
-    before = cols.columns()
-    tracemalloc.start()
-    try:
-        assert cols.sort() is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    want = sorted(rows, key=lambda r: (r[1], r[0], r[4]))  # stable: ties in insertion order
-    assert cols == [TraceRow(*row) for row in want]
-    assert all(map(operator.is_, cols.columns(), before))
-    # the order and one permuted column; a sorted copy of all six is 56
-    assert peak / n <= 24
-
-
 def typecodes(view):
     return "".join(col.typecode for col in view.columns())
 
@@ -636,8 +613,6 @@ def test_trace_columns_widen_only_the_columns_that_overflow():
     with pytest.raises(OverflowError):
         cols.append(2, 2**63, 2**31, 1, 0, None)  # refused whole: called_ms does not widen
     assert typecodes(cols) == "qqiqqi" and cols == want
-    cols.sort()
-    assert cols == sorted(want, key=lambda r: (r.timestamp, r.request_id, r.hops_done))
 
 
 @pytest.mark.parametrize("at", [5, 3000], ids=["first-block", "second-block"])
