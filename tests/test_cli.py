@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mssim
 import row_replay
 from mssim.cli import _QUEUE_FLAGS, cli_main
 from mssim.config import (
@@ -367,3 +372,19 @@ def test_cli_completion_past_int64_is_a_runtime_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("runtime error: request ") and "does not fit int64" in err
     assert "Traceback" not in err
+
+
+def test_a_cli_run_imports_no_numpy_random(tmp_path):
+    # mssim computes its PCG64 streams itself: importing numpy.random would
+    # also load OpenSSL's libcrypto, through secrets, hmac and _hashlib
+    cfg = write_config(tmp_path, dict(SMALL, end_time="200ms"))
+    argv = ["--config", cfg, "--out", str(tmp_path / "out"), "--trace-out", str(tmp_path / "trace.csv")]
+    script = (
+        "import sys, mssim, mssim.cli\n"
+        f"assert mssim.cli.cli_main({argv!r}) == 0\n"
+        "print(sorted(set(sys.modules) & {'numpy.random', 'secrets', 'hmac', '_hashlib'}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mssim.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "trace.csv").stat().st_size > 0

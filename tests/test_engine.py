@@ -6,7 +6,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 import pytest
 from hypothesis import given, strategies as st
 
-from mssim.engine import Engine, RngStream
+from mssim.engine import _STREAM_IDS, Engine, RngStream, raw_chunks, seed_words
 from mssim.errors import SchedulingInPast
 
 
@@ -147,8 +147,63 @@ def test_draws_across_chunks_match_the_generator_as_python_floats():
         assert all(type(x) is float for x in xs)
 
 
+# numpy.random serves the tests only, as the oracle of the streams that
+# mssim computes without importing it
+SEEDS = [0, 1, 12_345, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5, 2**200 + 17]
+CHUNKS = [1, 7, 31, 32, 33, 1000, 1024, 1025, 4096]
+
+
+def _numpy_raw(seed, key, n):
+    return PCG64(SeedSequence(entropy=seed, spawn_key=(key,))).random_raw(n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_seeding_words_are_numpys(seed):
+    for key in _STREAM_IDS.values():
+        want = SeedSequence(entropy=seed, spawn_key=(key,)).generate_state(4, np.uint64)
+        assert seed_words(seed, key) == want.tolist()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_raw_words_and_uniforms_are_numpys_across_chunks(seed):
+    for name, key in _STREAM_IDS.items():
+        for chunk in CHUNKS:
+            n = 3 * chunk + 1  # across three chunk boundaries
+            want = _numpy_raw(seed, key, n)
+            raw = raw_chunks(seed_words(seed, key), chunk)
+            got = np.concatenate([next(raw) for _ in range(4)])[:n]
+            assert got.dtype == np.uint64 and (got == want).all(), (name, chunk)
+            draw = RngStream(seed, name, chunk=chunk).draw
+            assert [draw() for _ in range(n)] == ((want >> 11) * 2.0**-53).tolist()
+
+
+@given(
+    st.integers(min_value=0, max_value=2**256 - 1),
+    st.sampled_from(sorted(_STREAM_IDS.values())),
+    st.integers(min_value=1, max_value=2100),
+)
+def test_any_seed_and_chunk_draw_numpys_raw_stream(seed, key, chunk):
+    want = _numpy_raw(seed, key, 2 * chunk + 1)
+    raw = raw_chunks(seed_words(seed, key), chunk)
+    assert (np.concatenate([next(raw) for _ in range(3)])[: 2 * chunk + 1] == want).all()
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_a_chunk_below_one_is_refused(chunk):
+    # an empty chunk would leave draw() spinning over empty chunks for ever
+    with pytest.raises(ValueError):
+        RngStream(1, "arrival", chunk=chunk)
+
+
+def test_a_negative_seed_is_refused():
+    with pytest.raises(ValueError):
+        RngStream(-1, "arrival")
+
+
 # SHA-256 of the first 4,096 uniforms of each stream at seed 1, as
-# little-endian doubles; they change only if numpy's PCG64 or SeedSequence does
+# little-endian doubles. mssim computes PCG64 and SeedSequence itself
+# (`engine.raw_chunks`, `engine.seed_words`), so these change only if that
+# code does; the oracle tests above hold it to numpy's
 STREAM_DIGESTS = {
     "arrival": "db81087c2e763f0068ddfa2b3a0ca9529630ede022b73e3e14a5a26b7a158444",
     "exec": "1b38604eb4e451514c75bd1c333bd9fe326ecb083f58cfc93b824d7c4de49a26",
