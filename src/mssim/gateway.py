@@ -1,13 +1,14 @@
 """API-gateway layer: service discovery registry and load-balancing policies.
 
 The gateway adds zero delay: a dispatched stage lands in the chosen
-instance's queue at the same simulated time.
+instance's queue at the same simulated time. Every selection takes the
+dispatch time `now`, which only greedy reads.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .engine import SimTime
 from .model import MicroserviceId
@@ -42,7 +43,7 @@ class Registry:
         self.entries.setdefault(instance.id.ms, []).append(instance)
         self.rr_cursor.setdefault(instance.id.ms, 0)
 
-    def select_round_robin(self, ms: MicroserviceId) -> InstanceState:
+    def select_round_robin(self, ms: MicroserviceId, now: Optional[SimTime] = None) -> InstanceState:
         """Each instance in turn; loops back at the end of the list."""
         lst = self.entries[ms]
         cursor = self.rr_cursor[ms]
@@ -51,11 +52,18 @@ class Registry:
         return instance
 
 
-def select_least_connection(states: Sequence[InstanceState]) -> InstanceState:
+def select_least_connection(
+    states: Sequence[InstanceState], now: Optional[SimTime] = None
+) -> InstanceState:
     """Fewest queued stages; ties broken by lowest slot index."""
     return min(states, key=lambda s: (len(s.queue), s.id.slot))
 
 
 def select_greedy(states: Sequence[InstanceState], now: SimTime) -> InstanceState:
     """Least backlog at `now` (InstanceState.backlog); ties broken by lowest slot index."""
-    return min(states, key=lambda s: (s.backlog(now), s.id.slot))
+    best, least = None, 0
+    for state in states:  # a loop: a key function would add a call per instance
+        backlog = state.backlog(now)
+        if best is None or backlog < least or (backlog == least and state.id.slot < best.id.slot):
+            best, least = state, backlog
+    return best

@@ -400,13 +400,15 @@ class MetricsCollector:
     def record_client(
         self, request_id: int, created_at: SimTime, completed_at: SimTime, exec_time: SimTime
     ) -> None:
-        _check_times(completed_at - created_at, exec_time)
+        if not 0 < exec_time <= completed_at - created_at:  # a call only for a bad time
+            _check_times(completed_at - created_at, exec_time)
         self.client_records.append(request_id, created_at, completed_at, exec_time)
 
     def record_stage(
         self, request_id: int, arrived_at: SimTime, completed_at: SimTime, exec_time: SimTime
     ) -> None:
-        _check_times(completed_at - arrived_at, exec_time)
+        if not 0 < exec_time <= completed_at - arrived_at:  # a call only for a bad time
+            _check_times(completed_at - arrived_at, exec_time)
         self.stage_records.append(request_id, arrived_at, completed_at, exec_time)
 
     def snapshot(self, kind: str, at: SimTime, busy_cum: list[SimTime]) -> None:

@@ -1,11 +1,11 @@
 """Domain types: microservice instances, client requests and their stages.
 
-A client request is a tree of `Stage`s, one per microservice invocation.
-The same object is built by the workload, queued and run by one instance,
-and carries its run state (arrival, remaining exec, deadline, owning
-request) through the simulation, so dispatching a stage allocates nothing
-but an optional trace row. Sampled and replayed trees alike are built
-when the simulation schedules their request's arrival.
+A client request is a tree of `Stage`s, one per microservice invocation;
+sampled with fan-outs of 1, a chain. The same object is built by the
+workload, queued and run by one instance, and carries its run state
+(arrival, remaining exec, deadline, owning request) through the simulation,
+so dispatching a stage allocates nothing but an optional trace row. Every
+tree is built when the simulation schedules its request's arrival.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class Stage:
     exec_time: SimTime  # microseconds, > 0
     depth: int  # hops done; 0 for gateway-invoked stages
     called_by: Optional[MicroserviceId] = None
-    # stages this one calls when it completes; builders share () among leaves
+    # called when it completes: a list, or a chain's 1-tuple; leaves share ()
     children: Sequence["Stage"] = ()
     arrival: Optional[SimTime] = None
     deadline: Optional[SimTime] = None

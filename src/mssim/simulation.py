@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import BinaryIO, Callable, Optional
 
@@ -60,7 +61,7 @@ class Simulation:
             _check_deployed(replay, len(cfg.microservices))
         self.cfg = cfg
         self.engine = Engine()
-        self.registry = Registry()
+        registry = Registry()
         # instances are deployed before the simulation starts; no scaling
         self.instances: list[InstanceState] = []
         policy = cfg.queue_policy
@@ -68,8 +69,19 @@ class Simulation:
         for ms, n in enumerate(cfg.microservices):
             for slot in range(n):
                 state = make(InstanceId(ms, slot), policy)
-                self.registry.register(state)
+                registry.register(state)
                 self.instances.append(state)
+        # per microservice, chosen before the first event: its sole instance,
+        # which needs no selection, and a selector of `now` (a profiler wraps
+        # the selection functions before the simulation is made)
+        by_ms = [registry.instances(ms) for ms in range(len(cfg.microservices))]
+        self._sole = [states[0] if len(states) == 1 else None for states in by_ms]
+        if cfg.lb_policy is LbPolicy.ROUND_ROBIN:
+            self._select = [partial(registry.select_round_robin, ms) for ms in range(len(by_ms))]
+        else:
+            lc = cfg.lb_policy is LbPolicy.LEAST_CONNECTION
+            self._select = [partial(select_least_connection if lc else select_greedy, states)
+                            for states in by_ms]
         self.collector = MetricsCollector([state.id for state in self.instances])
         self.trace = TraceColumns()
         if collect_trace is None:
@@ -102,16 +114,10 @@ class Simulation:
             root.client = req
             self._dispatch_stage(root, now)
 
-    def _select_instance(self, ms: int, now: SimTime) -> InstanceState:
-        lb = self.cfg.lb_policy
-        if lb is LbPolicy.ROUND_ROBIN:
-            return self.registry.select_round_robin(ms)
-        if lb is LbPolicy.LEAST_CONNECTION:
-            return select_least_connection(self.registry.instances(ms))
-        return select_greedy(self.registry.instances(ms), now)
-
     def _dispatch_stage(self, stage: Stage, now: SimTime) -> None:
-        state = self._select_instance(stage.target, now)
+        state = self._sole[stage.target]
+        if state is None:
+            state = self._select[stage.target](now)
         stage.arrival = now  # zero gateway delay
         stage.remaining = stage.exec_time
         if self.collect_trace:

@@ -341,18 +341,21 @@ class Picker:
             raise ConfigError("cannot choose distinct microservices from the available weights")
         return cum, positive[-1]
 
+    def one(self, exclude: Optional[int] = None) -> int:
+        """The first pick of `distinct`, on its own."""
+        cum, last = self._first.get(exclude) or self._first.setdefault(
+            exclude, self._table((exclude,))
+        )
+        i = bisect_right(cum, self._uniform() * cum[-1])
+        return last if i == len(cum) else i
+
     def distinct(self, k: int, exclude: Optional[int] = None) -> list[int]:
-        table = self._first.get(exclude) or self._first.setdefault(exclude, self._table((exclude,)))
-        picks = []
-        while True:
-            cum, last = table
+        picks = [self.one(exclude)]
+        while len(picks) < k:
+            cum, last = self._table((exclude, *picks))
             i = bisect_right(cum, self._uniform() * cum[-1])
-            if i == len(cum):
-                i = last
-            picks.append(i)
-            if len(picks) == k:
-                return picks
-            table = self._table((exclude, *picks))
+            picks.append(last if i == len(cum) else i)
+        return picks
 
 
 class Samplers:
@@ -368,6 +371,7 @@ class Samplers:
         self.depth = stream("depth", partial(depth_chunk, wl.depth))
         self.routing = Picker(wl.routing.call_probabilities, stream("routing"))
         self.communication = Picker(wl.communication.comm_probabilities, stream("communication"))
+        self.chains = wl.routing.fanout == wl.communication.fanout == 1
 
 
 def sample_interarrival(samplers: Samplers) -> SimTime:
@@ -380,11 +384,26 @@ def build_client_request(request_id: int, now: SimTime, samplers: Samplers) -> C
 
     Depth-0 targets come from the routing model; deeper targets from the
     communication model excluding the parent's microservice. Every path
-    reaches the sampled depth.
+    reaches the sampled depth, so with both fan-outs 1 the tree is a chain,
+    built level by level. Each stream is drawn in depth-first preorder.
     """
-    wl = samplers.model
     depth = samplers.depth()
+    if not samplers.chains:
+        return _tree(request_id, now, depth, samplers)
+    exec_time_of, callee = samplers.exec_time, samplers.communication.one
+    stage = root = Stage(request_id, samplers.routing.one(), exec_time_of(), 0)
+    crit_exec = root.exec_time
+    for d in range(1, depth + 1):
+        child = Stage(request_id, callee(stage.target), exec_time_of(), d, stage.target)
+        crit_exec += child.exec_time
+        stage.children = (child,)
+        stage = child
+    return ClientRequest(request_id, now, (root,), depth + 1, crit_exec)
 
+
+def _tree(request_id: int, now: SimTime, depth: int, samplers: Samplers) -> ClientRequest:
+    """`build_client_request` for a fan-out above 1, from a depth-first stack."""
+    wl = samplers.model
     roots = samplers.routing.distinct(wl.routing.fanout)
     exec_time_of = samplers.exec_time
     callees = samplers.communication.distinct
@@ -407,13 +426,7 @@ def build_client_request(request_id: int, now: SimTime, samplers: Samplers) -> C
         elif path > crit_exec:  # every path reaches the sampled depth
             crit_exec = path
         siblings.append(Stage(request_id, target, exec_time, d, called_by, children))
-    return ClientRequest(
-        request_id=request_id,
-        created_at=now,
-        root_stages=root_stages,
-        stages=stages,
-        crit_exec=crit_exec,
-    )
+    return ClientRequest(request_id, now, root_stages, stages, crit_exec)
 
 
 # --- trace replay and CSV I/O ---------------------------------------------

@@ -12,18 +12,18 @@ an event loop of its own:
    completion before.
 
 `test_quantum_oracle.py` holds the event-per-completion engine to it, byte
-for byte. It shares the gateway and the metrics with `mssim`, and nothing
-of the fair-share instance or of the engine's event queue.
+for byte. It shares the metrics with `mssim`, and nothing of the load
+balancers, the fair-share instance or the engine's event queue.
 """
 
 import math
 from collections import deque
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, cycle
 from typing import Optional
 
 from mssim.engine import deliver
-from mssim.gateway import Registry
+from mssim.gateway import LbPolicy
 from mssim.model import InstanceId, Stage
 from mssim.simulation import Simulation
 
@@ -146,17 +146,33 @@ class QuantumInstance:
         return stage, None
 
 
+def selector(lb, states):
+    """`lb` over `states`, a function of the dispatch time; ties go to the lowest slot."""
+    if lb is LbPolicy.ROUND_ROBIN:
+        turn = cycle(states)  # in slot order
+        return lambda now: next(turn)
+    if lb is LbPolicy.LEAST_CONNECTION:
+        return lambda now: min(states, key=lambda s: (len(s.queue), s.id.slot))
+    return lambda now: min(states, key=lambda s: (s.backlog(now), s.id.slot))
+
+
 class QuantumSimulation(Simulation):
-    """A `Simulation` whose fair-share instances fire an event per quantum."""
+    """A `Simulation` whose fair-share instances fire an event per quantum.
+
+    Every microservice's instances are selected by this module's own load
+    balancers, even when there is only one.
+    """
 
     def __init__(self, cfg, replay=None, collect_trace=None):
         super().__init__(cfg, replay=replay, collect_trace=collect_trace)
         self.engine = QuantumEngine()
-        self.registry = Registry()
-        self.instances = []
-        for state in [InstanceId(ms, slot) for ms, n in enumerate(cfg.microservices)
-                      for slot in range(n)]:
-            instance = QuantumInstance(state, cfg.queue_policy.quantum, self.engine,
-                                       self._on_slice_complete)
-            self.registry.register(instance)
-            self.instances.append(instance)
+        self.instances = [
+            QuantumInstance(InstanceId(ms, slot), cfg.queue_policy.quantum, self.engine,
+                            self._on_slice_complete)
+            for ms, n in enumerate(cfg.microservices) for slot in range(n)
+        ]
+        self._sole = [None] * len(cfg.microservices)
+        self._select = [
+            selector(cfg.lb_policy, [i for i in self.instances if i.id.ms == ms])
+            for ms in range(len(cfg.microservices))
+        ]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -243,9 +244,9 @@ def deepest(req):
 
 
 def tree(req):
-    """A client request as nested tuples, stage fields included."""
+    """A client request as nested tuples, stage fields and deadlines included."""
     def node(st):
-        return (st.request_id, st.target, st.exec_time, st.depth, st.called_by,
+        return (st.request_id, st.target, st.exec_time, st.depth, st.called_by, st.deadline,
                 tuple(node(c) for c in st.children))
     return (req.request_id, req.created_at, deepest(req), req.stages,
             req.crit_exec, tuple(node(r) for r in req.root_stages))
@@ -286,6 +287,32 @@ def test_request_trees_match_the_scalar_builder(model, seed):
         now = rid * 1066
         assert tree(build_client_request(rid, now, samplers)) == tree(
             scalar.build_client_request(rid, now, model, streams))
+
+
+@pytest.mark.parametrize("kind", [None, QueueKind.EDS, QueueKind.EXDS])
+@pytest.mark.parametrize("fanouts", [(1, 1), (1, 2), (2, 2)], ids=["chain", "1-2", "2-2"])
+@pytest.mark.parametrize("seed", [0, 1, 29, 2**32 - 1])
+def test_chains_and_trees_match_the_scalar_builder_with_deadlines(seed, fanouts, kind):
+    # fan-outs (1, 1) build chains level by level, the others from the
+    # depth-first stack; both must draw every stream as the scalar builder does
+    model = wl(n_ms=4, depth=((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)))
+    model = dataclasses.replace(
+        model,
+        routing=dataclasses.replace(model.routing, fanout=fanouts[0]),
+        communication=dataclasses.replace(model.communication, fanout=fanouts[1]),
+    )
+    samplers, streams = Samplers(model, seed), scalar.uniform_streams(seed)
+    depths = set()
+    for rid in range(200):
+        got = build_client_request(rid, rid * 1066, samplers)
+        want = scalar.build_client_request(rid, rid * 1066, model, streams)
+        if kind is not None:
+            assign_deadlines(got, kind, model.sla)
+            assign_deadlines(want, kind, model.sla)
+        validate_tree(got)
+        assert tree(got) == tree(want)
+        depths.add(deepest(got))
+    assert depths == {0, 1, 2, 3}
 
 
 def test_chunk_size_does_not_change_samples():
