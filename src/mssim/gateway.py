@@ -56,7 +56,12 @@ def select_least_connection(
     states: Sequence[InstanceState], now: Optional[SimTime] = None
 ) -> InstanceState:
     """Fewest queued stages; ties broken by lowest slot index."""
-    return min(states, key=lambda s: (len(s.queue), s.id.slot))
+    best, least = None, 0
+    for state in states:  # a loop: a key function would add a call per instance
+        queued = len(state.queue)
+        if best is None or queued < least or (queued == least and state.id.slot < best.id.slot):
+            best, least = state, queued
+    return best
 
 
 def select_greedy(states: Sequence[InstanceState], now: SimTime) -> InstanceState:

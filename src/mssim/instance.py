@@ -61,43 +61,37 @@ _QUEUE_ORDER = {
 class _KeyedQueue(list):
     """Priority queue (a heap) of (*key(stage), seq, stage): a policy's order, then push order."""
 
-    __slots__ = ("_key", "_seq", "exec_sum")
+    __slots__ = ("_key", "_seq")
 
     def __init__(self, key: attrgetter):
         super().__init__()
         self._key = key
         self._seq = 0
-        self.exec_sum: SimTime = 0
 
     def push(self, st: Stage) -> None:
         heapq.heappush(self, (*self._key(st), self._seq, st))
         self._seq += 1
-        self.exec_sum += st.remaining
 
     def popleft(self) -> Stage:
         """The next stage in policy order, as a fair-share instance's deque gives it."""
-        stage = heapq.heappop(self)[-1]
-        self.exec_sum -= stage.remaining
-        return stage
+        return heapq.heappop(self)[-1]
 
 
 class InstanceState:
     """One microservice instance: pending queue, in-flight slice, busy time.
 
     While a slice runs, `current.remaining` is the stage's remaining
-    exec at the slice start; finish_slice charges the slice to it.
-    `pending` is the event of the running stage's completion, which the
-    simulation keeps here.
+    exec at the slice start, and `owed` is that of `current` and the
+    queued stages together, so `backlog` is linear in `now` until the
+    next enqueue or completion. The slice that ends in the next
+    completion starts at `parent`: `slice_start`, when a stage runs to
+    completion. `pending` is the event of the running stage's
+    completion, which the simulation keeps here.
     """
 
     __slots__ = (
-        "id",
-        "queue",
-        "current",
-        "slice_start",
-        "slice_end",
-        "busy_accum",
-        "pending",
+        "id", "queue", "current", "pending",
+        "slice_start", "slice_end", "parent", "busy_accum", "owed",
     )
 
     def __init__(self, instance_id: InstanceId, policy: QueuePolicy):
@@ -106,26 +100,18 @@ class InstanceState:
         self.id = instance_id
         self.queue = _KeyedQueue(_QUEUE_ORDER[policy.kind])
         self.current: Optional[Stage] = None
-        self.slice_start: SimTime = 0
-        self.slice_end: SimTime = 0
-        self.busy_accum: SimTime = 0
+        self.slice_start = self.slice_end = self.busy_accum = self.owed = self.parent = 0
         self.pending: Optional[tuple] = None
 
     # -- load accounting ---------------------------------------------------
 
     def busy_time_until(self, now: SimTime) -> SimTime:
         """Cumulative executing time, including progress of the running slice."""
-        busy = self.busy_accum
-        if self.current is not None:
-            busy += now - self.slice_start
-        return busy
+        return self.busy_accum + (0 if self.current is None else now - self.slice_start)
 
     def backlog(self, now: SimTime) -> SimTime:
         """Exec still owed at `now`: queued stages plus the rest of the running one."""
-        current = self.current
-        if current is None:
-            return self.queue.exec_sum
-        return self.queue.exec_sum + current.remaining - (now - self.slice_start)
+        return 0 if self.current is None else self.owed - (now - self.slice_start)
 
     # the benchmark's per-layer tracer (bench/tracer.py) wraps this name
     load_view = backlog
@@ -138,6 +124,7 @@ class InstanceState:
         Returns the running stage's completion time when it is new (a
         start, or a fair-share join that moves it), else None.
         """
+        self.owed += stage.remaining
         if self.current is None:
             return self._start(stage, now)
         return self._wait(stage, now)
@@ -150,7 +137,7 @@ class InstanceState:
     def _start(self, stage: Stage, now: SimTime) -> Optional[SimTime]:
         """Run `stage` from `now` to completion; returns its end time."""
         self.current = stage
-        self.slice_start = now
+        self.slice_start = self.parent = now
         self.slice_end = end = now + stage.remaining
         return end
 
@@ -159,9 +146,14 @@ class InstanceState:
 
         Returns (the completed stage, next slice end to schedule or None).
         """
+        if self.parent != self.slice_start:
+            # bring a fair-share instance to the start of the completing slice
+            self._skip((self.parent - self.slice_start) // self.quantum)
         stage = self.current
         assert stage is not None and now == self.slice_end
-        self.busy_accum += now - self.slice_start
+        done = now - self.slice_start
+        self.busy_accum += done
+        self.owed -= done
         stage.remaining = 0
         queue = self.queue
         if queue:
@@ -177,10 +169,11 @@ class FairShareState(InstanceState):
     quantum is a closed-form function of the turn order and the remaining
     execs, so the quantum boundaries are not events. The instance computes
     its first completion, and brings `current` and `queue` up to date,
-    whole boundaries at a time, only when a stage joins or completes. Each
-    stage's `remaining` is its exec left at `slice_start`. `owed`, all of
-    them together, makes `backlog` linear in `now` in between, so that it
-    and `busy_time_until` read as with one event per boundary.
+    whole boundaries at a time, only when a stage joins or completes, so
+    that `backlog` and `busy_time_until` read as with one event per
+    boundary. Each stage's `remaining` is its exec left at `slice_start`.
+    The base class's `enqueue` and `finish_slice` do the bookkeeping; this
+    class supplies the hooks they call.
 
     Like every instance, it returns completion times and schedules none:
     `enqueue` returns the new time when a join moves the completion, and
@@ -193,24 +186,17 @@ class FairShareState(InstanceState):
     completion.
     """
 
-    __slots__ = ("quantum", "owed", "parent")
+    __slots__ = ("quantum",)
 
     def __init__(self, instance_id: InstanceId, policy: QueuePolicy):
         self.id = instance_id
         self.queue: deque[Stage] = deque()  # the stages behind `current`, in turn order
         self.current = self.pending = None
-        self.slice_start = self.slice_end = self.busy_accum = self.owed = 0
+        self.slice_start = self.slice_end = self.busy_accum = self.owed = self.parent = 0
         self.quantum = policy.quantum
-        # the slice of the next completion starts at `parent`, a boundary or the chain's start
-        self.parent: SimTime = 0
-
-    def backlog(self, now: SimTime) -> SimTime:
-        return 0 if self.current is None else self.owed - (now - self.slice_start)
 
     def _start(self, stage: Stage, now: SimTime) -> SimTime:
         """Make `stage` current from `now`, the start of a chain; returns the chain's completion."""
-        if self.current is None:  # onto an idle instance
-            self.owed = stage.remaining
         self.current = stage
         self.slice_start = now
         return self._first()
@@ -243,7 +229,6 @@ class FairShareState(InstanceState):
         Returns the completion time when the newcomer moves it, else None.
         """
         queue = self.queue
-        self.owed += stage.remaining
         q = self.quantum
         parent = self.parent
         if now > self.slice_start:
@@ -256,12 +241,6 @@ class FairShareState(InstanceState):
         if parent - self.slice_start >= len(queue) * q:
             return self._first()
         return None
-
-    def finish_slice(self, now: SimTime) -> tuple[Optional[Stage], Optional[SimTime]]:
-        # bring the instance to the start of the completing slice
-        self._skip((self.parent - self.slice_start) // self.quantum)
-        self.owed -= self.slice_end - self.slice_start
-        return super().finish_slice(now)
 
     def _skip(self, boundaries: int) -> None:
         """Apply the next `boundaries` quantum boundaries: charge and rotate.

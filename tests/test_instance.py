@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mssim.config import load_config
 from mssim.engine import Engine
 from mssim.errors import ConfigError
 from mssim.instance import (
@@ -13,7 +14,9 @@ from mssim.instance import (
     assign_deadlines,
 )
 from mssim.model import ClientRequest, InstanceId, Stage, iter_nodes
+from mssim.simulation import Simulation
 from quantum_oracle import QuantumEngine, QuantumInstance
+from test_call_counts import CONFIGS
 
 
 def stage(exec_time, rid=0, arrival=0, deadline=None, target=0):
@@ -100,28 +103,109 @@ OLD_KEYS = {
 tied = st.integers(0, 2)  # few values, so that every field ties often
 
 
+def owed_by_stages(inst, now):
+    """The exec the stages themselves still owe at `now`: each one's
+    `remaining` at the slice start, less the running slice's progress."""
+    if inst.current is None:
+        return 0
+    queued = [s if isinstance(s, Stage) else s[-1] for s in inst.queue]
+    return sum(s.remaining for s in (inst.current, *queued)) - (now - inst.slice_start)
+
+
+def check_backlog(inst, now, arrived):
+    """backlog(now) is what the stages owe, and what arrived less what has run."""
+    assert inst.backlog(now) == owed_by_stages(inst, now) == arrived - inst.busy_time_until(now)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(list(OLD_KEYS)),
-    # a stage's (arrival, request_id, remaining, deadline) to push, or None to pop
+    # a stage's (arrival, request_id, remaining, deadline) to enqueue, or None
+    # to complete the running one
     st.lists(st.one_of(st.none(), st.tuples(tied, tied, st.integers(1, 3), tied)), max_size=30),
 )
 def test_a_queue_pops_by_its_policy_key_then_push_order(kind, ops):
-    queue = instance(kind).queue
-    waiting = []  # (old key, push number, stage)
+    inst = instance(kind)
+    now = arrived = 0
+    waiting = []  # (old key, enqueue number, stage) of each queued stage
     for pushed, op in enumerate(ops):
         if op is None:
+            if inst.current is None:
+                continue
+            now = inst.slice_end
+            inst.finish_slice(now)
             if waiting:
                 expected = min(waiting, key=lambda w: w[:2])
                 waiting.remove(expected)
-                assert queue.popleft() is expected[2]
-            continue
-        arrival, rid, remaining, deadline = op
-        new = stage(remaining, rid=rid, arrival=arrival, deadline=deadline)
-        waiting.append((OLD_KEYS[kind](new), pushed, new))
-        queue.push(new)
-    assert [queue.popleft() for _ in waiting] == [w[2] for w in sorted(waiting, key=lambda w: w[:2])]
-    assert queue.exec_sum == 0
+                assert inst.current is expected[2]
+            else:
+                assert inst.current is None
+        else:
+            arrival, rid, remaining, deadline = op
+            new = stage(remaining, rid=rid, arrival=arrival, deadline=deadline)
+            if inst.current is not None:
+                waiting.append((OLD_KEYS[kind](new), pushed, new))
+            inst.enqueue(new, now)
+            arrived += remaining
+        check_backlog(inst, now, arrived)
+    running = inst.current
+    completed = []
+    while inst.current is not None:
+        now = inst.slice_end
+        completed.append(inst.finish_slice(now)[0])
+        check_backlog(inst, now, arrived)
+    assert completed == ([running] if running else []) + [
+        w[2] for w in sorted(waiting, key=lambda w: w[:2])
+    ]
+    assert inst.owed == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(QueueKind)),
+    st.sampled_from((1, 3, 5)),
+    # per arrival: (gap since the one before, exec, deadline)
+    st.lists(st.tuples(st.integers(0, 12), st.integers(1, 16), tied), min_size=1, max_size=12),
+)
+def test_backlog_is_the_exec_the_stages_still_owe_through_the_life_cycle(kind, quantum, arrivals):
+    make = FairShareState if kind is QueueKind.FAIR_SHARE else InstanceState
+    inst = make(InstanceId(0, 0), QueuePolicy(kind, quantum))
+    now = arrived = 0
+    for rid, (gap, exec_time, deadline) in enumerate(arrivals):
+        now += gap
+        # the completions up to the arrival, each before a join at its instant
+        while inst.current is not None and inst.slice_end <= now:
+            end = inst.slice_end
+            inst.finish_slice(end)
+            check_backlog(inst, end, arrived)
+        check_backlog(inst, now, arrived)  # mid-slice, and for fair share mid-chain
+        enq(inst, stage(exec_time, rid=rid, deadline=deadline), now)
+        arrived += exec_time
+        check_backlog(inst, now, arrived)
+    while inst.current is not None:
+        end = inst.slice_end
+        inst.finish_slice(end)
+        check_backlog(inst, end, arrived)
+    assert inst.owed == 0 and inst.busy_accum == arrived
+
+
+@pytest.mark.parametrize("kind", list(QueueKind))
+def test_a_drained_run_leaves_no_exec_owed(kind):
+    # an instance only adds to `owed` on enqueue, idle or not, so drift
+    # in its bookkeeping would outlive the drain
+    cfg = load_config(CONFIGS / "exp-fs-greedy.json")
+    cfg.seed = 1
+    cfg.end_time = 1_000_000
+    cfg.queue_policy = QueuePolicy(kind)
+    sim = Simulation(cfg)
+    sim.run()
+    assert all(s.current is None and not s.queue and s.owed == 0 for s in sim.instances)
+
+
+def test_fair_share_inherits_the_methods_the_benchmark_tracer_wraps():
+    # bench/tracer.py wraps them on InstanceState; an override would run
+    # outside the wrapper's span
+    assert not {"enqueue", "finish_slice", "backlog"} & FairShareState.__dict__.keys()
 
 
 def test_run_to_completion_single_slice():
@@ -213,8 +297,14 @@ def test_backlog_mid_slice():
     enq(inst, stage(1000, rid=0), 0)
     enq(inst, stage(400, rid=1), 0)
     assert inst.backlog(300) == 700 + 400
-    assert len(inst.queue) == 1 and inst.queue.exec_sum == 400
+    assert len(inst.queue) == 1
     assert inst.busy_time_until(300) == 300
+    # the queued stage's exec is owed until it runs
+    assert inst.finish_slice(1000)[1] == 1400
+    assert [inst.backlog(t) for t in (1000, 1200)] == [400, 200]
+    inst.finish_slice(1400)
+    assert inst.backlog(1400) == inst.owed == 0
+    assert inst.busy_time_until(1400) == 1400
 
 
 def test_backlog_follows_fair_share_requeues():
